@@ -437,21 +437,34 @@ func BenchmarkAggregators(b *testing.B) {
 	})
 }
 
-// BenchmarkWireFeatureUpload measures encode+decode of the Eq. (1) upload
-// message (128-B payload).
-func BenchmarkWireFeatureUpload(b *testing.B) {
-	b.ReportAllocs()
-	msg := &wire.FeatureUpload{SampleID: 1, Device: 2, F: 4, H: 16, W: 16, Bits: make([]byte, 128)}
-	var buf loopBuffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if _, err := wire.Encode(&buf, msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.Decode(&buf); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkWireEscalation measures encode+decode of the upstream
+// escalation frame — the Eq. (1) feature uploads of six devices, 128 B
+// per device and sample — for a single-sample session and a 32-sample
+// batch.
+func BenchmarkWireEscalation(b *testing.B) {
+	for _, n := range []int{1, 32} {
+		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			msg := &wire.Escalation{Session: 1, ModelVersion: 1, Devices: 6, F: 4, H: 16, W: 16,
+				SampleIDs: make([]uint64, n), Masks: make([]uint16, n)}
+			for i := range msg.SampleIDs {
+				msg.SampleIDs[i] = uint64(i)
+				msg.Masks[i] = 0b111111
+			}
+			msg.Bits = make([]byte, msg.PresentCount()*msg.SampleBytes())
+			var buf loopBuffer
+			b.SetBytes(int64(len(msg.Bits)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if _, err := wire.Encode(&buf, msg); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := wire.Decode(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -66,7 +66,7 @@ func run(args []string) error {
 		threshold   = fs.Float64("threshold", 0.8, "local exit entropy threshold T")
 		edgeT       = fs.Float64("edge-threshold", 0.8, "edge exit entropy threshold (edge-tier models)")
 		concurrency = fs.Int("concurrency", 8, "concurrent classification sessions")
-		batch       = fs.Int("batch", 1, "micro-batch size: coalesce up to this many samples into one session per tier (1 = per-sample)")
+		batch       = fs.Int("batch", 1, "micro-batch size: coalesce up to this many samples into one session per tier (1 = one sample per session)")
 		samples     = fs.Int("samples", 0, "number of test samples to classify (0 = all)")
 		dataSeed    = fs.Int64("data-seed", 1, "dataset seed (must match the devices)")
 	)

@@ -104,7 +104,7 @@ func run(args []string) error {
 		burst        = fs.Float64("burst", 0, "per-client burst depth (0: max(1, rate))")
 		maxInflight  = fs.Int("max-inflight", api.DefaultMaxInFlight, "admitted in-flight requests before 503; load sheds to cheaper exits as this nears")
 		concurrency  = fs.Int("concurrency", 16, "concurrent classification sessions")
-		batch        = fs.Int("batch", ddnn.DefaultMaxBatch, "micro-batch size: coalesce up to this many samples per session (1 = per-sample)")
+		batch        = fs.Int("batch", ddnn.DefaultMaxBatch, "micro-batch size: coalesce up to this many samples per session (1 = one sample per session)")
 		replicas     = fs.Int("replicas", 1, "replicas of each upper tier (in-process engine only)")
 		threshold    = fs.Float64("threshold", 0.8, "local exit entropy threshold T")
 		edgeT        = fs.Float64("edge-threshold", 0.8, "edge exit entropy threshold (edge-tier models)")

@@ -46,10 +46,20 @@ func PackedSize(n int) int { return (n + 7) / 8 }
 // its own byte boundary, so batched and per-sample uploads stay
 // bit-identical.
 func PackSignsSample(t *tensor.Tensor, i int) []byte {
-	td := t.Sample(i)
-	out := make([]byte, (len(td)+7)/8)
-	packSignsInto(out, td)
+	out := make([]byte, (t.Size()/t.Dim(0)+7)/8)
+	PackSignsSampleInto(out, t, i)
 	return out
+}
+
+// PackSignsSampleInto is PackSignsSample writing into dst, which must be
+// zeroed and exactly PackedSize of one sample long, so a caller can pack
+// many samples into one buffer.
+func PackSignsSampleInto(dst []byte, t *tensor.Tensor, i int) {
+	td := t.Sample(i)
+	if len(dst) != (len(td)+7)/8 {
+		panic(fmt.Sprintf("bnn: pack destination is %d bytes, sample needs %d", len(dst), (len(td)+7)/8))
+	}
+	packSignsInto(dst, td)
 }
 
 // UnpackSignsInto expands a bit-packed sign vector into dst as ±1 values.

@@ -24,8 +24,8 @@ const DefaultMaxBatch = 32
 // wire framing, im2col/conv dispatch and semaphore round trips amortize
 // across the batch. Batching trades a bounded amount of added latency
 // (at most MaxLinger on an idle engine) for substantially higher
-// throughput under load; results are bit-identical to per-sample
-// sessions.
+// throughput under load; results are bit-identical to single-sample
+// batches.
 type BatchConfig struct {
 	// MaxBatch caps the samples coalesced into one session. 0 and 1
 	// disable micro-batching; values above wire.MaxBatch (the largest
@@ -205,7 +205,8 @@ func (c *batchCollector) flush(batch []batchItem, key laneKey) {
 		for i, item := range batch {
 			ids[i] = item.id
 		}
-		results, err := c.eng.gw.ClassifyBatchTenantShed(context.Background(), ids, key.tenant, key.level)
+		gw := c.eng.gw
+		results, err := gw.classify(context.Background(), ids, gw.TenantPipeline(key.tenant).Shed(key.level))
 		for i, item := range batch {
 			out := batchOutcome{err: err}
 			if i < len(results) && results[i] != nil {

@@ -19,15 +19,16 @@ import (
 
 // Cloud is the cloud node: it owns the cloud section of the DDNN and runs
 // the final exit, which always classifies. In a two-tier hierarchy it
-// receives the present devices' bit-packed feature maps (CloudClassify +
-// FeatureUploads), aggregates them and runs the upper NN layers; in a
-// three-tier hierarchy it receives a single pre-aggregated EdgeFeature map
-// escalated by the edge node.
+// receives the gateway's Escalation — the hard samples' device feature
+// maps — aggregates them and runs the upper NN layers; in a three-tier
+// hierarchy it receives the pre-aggregated edge feature maps the edge
+// node escalates in an EdgeFeatureBatch.
 //
-// Sessions are demultiplexed by wire session ID, so one downstream
-// connection carries any number of interleaved sessions; each complete
-// session is classified in its own goroutine against the shared read-only
-// model.
+// Every request is one self-contained frame, answered with one
+// ResultBatch under the frame's session ID, so one downstream connection
+// carries any number of interleaved sessions and the node keeps no
+// per-session state between frames; each session is classified in its
+// own goroutine against the shared read-only model.
 type Cloud struct {
 	model  *core.Model
 	reg    *modelRegistry
@@ -131,23 +132,20 @@ func (c *Cloud) handle(conn net.Conn) {
 		_, err := wire.Encode(conn, m)
 		return err
 	}
-	// Sessions pin the model their version pin resolved to, so every
-	// frame computes on the same weights even if the replica's active
-	// version flips mid-session.
-	type openSession struct {
-		session uint64
-		model   *core.Model
-		up      *uploadSession
-	}
-	sessions := make(map[uint64]*openSession)
-	type openBatch struct {
-		session uint64
-		model   *core.Model
-		up      *batchUploadSession
-	}
-	batches := make(map[uint64]*openBatch)
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
+	// classify runs one decoded session in its own goroutine; the model
+	// its version pin resolved to serves the whole session, even if the
+	// replica's active version flips meanwhile.
+	classify := func(run func()) {
+		inflight.Add(1)
+		c.active.Add(1)
+		go func() {
+			defer inflight.Done()
+			defer c.active.Add(-1)
+			run()
+		}()
+	}
 	for {
 		msg, err := wire.Decode(conn)
 		if err != nil {
@@ -168,9 +166,9 @@ func (c *Cloud) handle(conn net.Conn) {
 			if err := send(m); err != nil {
 				return
 			}
-		case *wire.CloudClassify:
+		case *wire.Escalation:
 			if c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeature escalations only"})
+				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeatureBatch escalations only"})
 				continue
 			}
 			model, _, err := c.reg.resolve(m.ModelVersion)
@@ -178,77 +176,15 @@ func (c *Cloud) handle(conn net.Conn) {
 				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 				continue
 			}
-			sess, err := newUploadSession(model.Cfg, m.SampleID, m.Devices, m.Mask, m.PresentCount(), c.pool)
+			feats, err := unpackEscalation(model, m, c.pool)
 			if err != nil {
 				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
 				continue
 			}
-			if sess.complete() {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "empty device mask"})
-				continue
-			}
-			sessions[m.Session] = &openSession{session: m.Session, model: model, up: sess}
-		case *wire.FeatureUpload:
-			sess, ok := sessions[m.Session]
-			if !ok {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: fmt.Sprintf("upload for unknown session %d", m.Session)})
-				continue
-			}
-			if err := sess.up.add(sess.model, m); err != nil {
-				delete(sessions, m.Session)
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if sess.up.complete() {
-				delete(sessions, m.Session)
-				inflight.Add(1)
-				c.active.Add(1)
-				go func(sess *openSession) {
-					defer inflight.Done()
-					defer c.active.Add(-1)
-					c.classify(send, sess.session, sess.model, sess.up)
-				}(sess)
-			}
-		case *wire.CloudClassifyBatch:
-			if c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeature escalations only"})
-				continue
-			}
-			model, _, err := c.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			up, err := newBatchUploadSession(model.Cfg, m.SampleIDs, m.Devices, m.Masks, c.pool)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			batches[m.Session] = &openBatch{session: m.Session, model: model, up: up}
-		case *wire.FeatureBatch:
-			sess, ok := batches[m.Session]
-			if !ok {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: fmt.Sprintf("feature batch for unknown session %d", m.Session)})
-				continue
-			}
-			if err := sess.up.add(sess.model, m); err != nil {
-				delete(batches, m.Session)
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			if sess.up.complete() {
-				delete(batches, m.Session)
-				inflight.Add(1)
-				c.active.Add(1)
-				go func(sess *openBatch) {
-					defer inflight.Done()
-					defer c.active.Add(-1)
-					c.classifyBatch(send, sess.session, sess.model, sess.up)
-				}(sess)
-			}
+			classify(func() { c.classify(send, model, m, feats) })
 		case *wire.EdgeFeatureBatch:
 			if !c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send CloudClassifyBatch + FeatureBatches"})
+				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send an Escalation"})
 				continue
 			}
 			model, _, err := c.reg.resolve(m.ModelVersion)
@@ -261,94 +197,34 @@ func (c *Cloud) handle(conn net.Conn) {
 				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
 				continue
 			}
-			inflight.Add(1)
-			c.active.Add(1)
-			go func(m *wire.EdgeFeatureBatch, feat *tensor.Tensor) {
-				defer inflight.Done()
-				defer c.active.Add(-1)
-				c.classifyFromEdgeBatch(send, model, m, feat)
-			}(m, feat)
-		case *wire.EdgeFeature:
-			if !c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send CloudClassify + FeatureUploads"})
-				continue
-			}
-			model, _, err := c.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			feat, err := c.unpackEdgeFeature(model, m)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			inflight.Add(1)
-			c.active.Add(1)
-			go func(m *wire.EdgeFeature, feat *tensor.Tensor) {
-				defer inflight.Done()
-				defer c.active.Add(-1)
-				c.classifyFromEdge(send, model, m, feat)
-			}(m, feat)
+			classify(func() { c.classifyFromEdge(send, model, m, feat) })
 		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected CloudClassify(Batch), FeatureUpload/FeatureBatch or EdgeFeature(Batch), got %v", msg.MsgType())})
+			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected Escalation or EdgeFeatureBatch, got %v", msg.MsgType())})
 		}
 	}
 }
 
-// unpackEdgeFeature validates an escalated edge feature map against the
-// model's edge section output shape.
-func (c *Cloud) unpackEdgeFeature(model *core.Model, m *wire.EdgeFeature) (*tensor.Tensor, error) {
-	cfg := model.Cfg
-	eh, ew := cfg.FeatureH()/2, cfg.FeatureW()/2
-	if int(m.F) != cfg.EdgeFilters || int(m.H) != eh || int(m.W) != ew {
-		return nil, fmt.Errorf("edge feature shape %d×%d×%d, model expects %d×%d×%d", m.F, m.H, m.W, cfg.EdgeFilters, eh, ew)
-	}
-	feat := c.pool.GetDirty(1, int(m.F), int(m.H), int(m.W))
-	if err := model.UnpackFeatureInto(feat, 0, m.Bits); err != nil {
-		c.pool.Put(feat)
-		return nil, err
-	}
-	return feat, nil
-}
-
-// classify runs the cloud section for one complete two-tier session. The
-// model is frozen (read-only) so sessions run genuinely in parallel.
-func (c *Cloud) classify(send func(wire.Message) error, session uint64, model *core.Model, sess *uploadSession) {
-	logits := model.CloudForwardPooled(sess.feats, sess.mask, c.pool)
-	sess.release(c.pool)
-	c.reply(send, session, sess.sampleID, logits)
-	c.pool.Put(logits)
-}
-
-// classifyFromEdge runs the cloud section on a pre-aggregated edge
-// feature map (three-tier hierarchies).
-func (c *Cloud) classifyFromEdge(send func(wire.Message) error, model *core.Model, m *wire.EdgeFeature, feat *tensor.Tensor) {
-	logits := model.CloudForwardFromEdgePooled(feat, c.pool)
-	c.pool.Put(feat)
-	c.reply(send, m.Session, m.SampleID, logits)
-	c.pool.Put(logits)
-}
-
-// classifyBatch runs the cloud section for one complete batched two-tier
-// session: samples sharing a device mask classify in one masked forward
-// pass, and the whole batch answers with a single ResultBatch whose
-// verdicts follow the header's sample order.
-func (c *Cloud) classifyBatch(send func(wire.Message) error, session uint64, model *core.Model, up *batchUploadSession) {
-	verdicts := make([]wire.BatchVerdict, len(up.ids))
-	for _, grp := range groupByMask(up.masks, model.Cfg.Devices) {
-		feats := selectGroup(up.feats, grp.indices, len(up.ids), c.pool)
-		logits := model.CloudForwardPooled(feats, grp.present, c.pool)
-		releaseGroup(up.feats, feats, c.pool)
+// classify runs the cloud section for one two-tier escalation: samples
+// sharing a device mask classify in one masked forward pass, and the
+// whole escalation answers with a single ResultBatch whose verdicts
+// follow the frame's sample order. The model is frozen (read-only), so
+// sessions run genuinely in parallel.
+func (c *Cloud) classify(send func(wire.Message) error, model *core.Model, esc *wire.Escalation, feats []*tensor.Tensor) {
+	n := len(esc.SampleIDs)
+	verdicts := make([]wire.BatchVerdict, n)
+	for _, grp := range groupByMask(esc.Masks, model.Cfg.Devices) {
+		sel := selectGroup(feats, grp.indices, n, c.pool)
+		logits := model.CloudForwardPooled(sel, grp.present, c.pool)
+		releaseGroup(feats, sel, c.pool)
 		probs := nn.Softmax(logits)
 		c.pool.Put(logits)
 		for k, idx := range grp.indices {
-			verdicts[idx] = verdictRow(probs, k, up.ids[idx], wire.ExitCloud)
+			verdicts[idx] = verdictRow(probs, k, esc.SampleIDs[idx], wire.ExitCloud)
 		}
 	}
-	up.release(c.pool)
-	if err := send(&wire.ResultBatch{Session: session, Verdicts: verdicts}); err != nil {
-		c.logger.Debug("batch classify reply failed", "session", session, "err", err)
+	releaseAll(feats, c.pool)
+	if err := send(&wire.ResultBatch{Session: esc.Session, Verdicts: verdicts}); err != nil {
+		c.logger.Debug("classify reply failed", "session", esc.Session, "err", err)
 	}
 }
 
@@ -374,10 +250,10 @@ func (c *Cloud) unpackEdgeFeatureBatch(model *core.Model, m *wire.EdgeFeatureBat
 	return feat, nil
 }
 
-// classifyFromEdgeBatch runs the cloud section once over a batch of
+// classifyFromEdge runs the cloud section once over a batch of
 // pre-aggregated edge feature maps — the samples that missed the edge
 // exit — and answers with one ResultBatch in SampleIDs order.
-func (c *Cloud) classifyFromEdgeBatch(send func(wire.Message) error, model *core.Model, m *wire.EdgeFeatureBatch, feat *tensor.Tensor) {
+func (c *Cloud) classifyFromEdge(send func(wire.Message) error, model *core.Model, m *wire.EdgeFeatureBatch, feat *tensor.Tensor) {
 	logits := model.CloudForwardFromEdgePooled(feat, c.pool)
 	c.pool.Put(feat)
 	probs := nn.Softmax(logits)
@@ -388,21 +264,6 @@ func (c *Cloud) classifyFromEdgeBatch(send func(wire.Message) error, model *core
 	}
 	if err := send(&wire.ResultBatch{Session: m.Session, Verdicts: verdicts}); err != nil {
 		c.logger.Debug("edge batch reply failed", "session", m.Session, "err", err)
-	}
-}
-
-func (c *Cloud) reply(send func(wire.Message) error, session, sampleID uint64, logits *tensor.Tensor) {
-	probs := nn.Softmax(logits)
-	row := make([]float32, probs.Dim(1))
-	copy(row, probs.Row(0))
-	if err := send(&wire.ClassifyResult{
-		Session:  session,
-		SampleID: sampleID,
-		Exit:     wire.ExitCloud,
-		Class:    uint16(probs.ArgMaxRow(0)),
-		Probs:    row,
-	}); err != nil {
-		c.logger.Debug("classify reply failed", "sample", sampleID, "err", err)
 	}
 }
 

@@ -408,16 +408,53 @@ func TestCloudRejectsWrongDeviceCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := wire.Encode(conn, &wire.CloudClassify{SampleID: 1, Devices: 99, Mask: 1}); err != nil {
+	if _, err := wire.Encode(conn, escalationFor(model, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := wire.Decode(conn)
-	if err != nil {
+	bad := escalationFor(model, 2, 1)
+	bad.Devices = 99
+	if _, err := wire.Encode(conn, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(*wire.Error); !ok {
-		t.Errorf("cloud replied %v to bad device count, want Error", msg.MsgType())
+	// The well-formed escalation answers; the bad one gets a typed 400.
+	for i := 0; i < 2; i++ {
+		msg, err := wire.Decode(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch m := msg.(type) {
+		case *wire.ResultBatch:
+			if m.Session != 1 {
+				t.Errorf("verdicts for session %d, want 1", m.Session)
+			}
+		case *wire.Error:
+			if m.Session != 2 || m.Code != 400 {
+				t.Errorf("error %d for session %d, want 400 for session 2", m.Code, m.Session)
+			}
+		default:
+			t.Errorf("cloud replied %v, want ResultBatch or Error", msg.MsgType())
+		}
 	}
+}
+
+// escalationFor builds a well-formed one-sample Escalation for model
+// with every device present and all-zero (all −1) feature maps.
+func escalationFor(model *core.Model, session, sampleID uint64) *wire.Escalation {
+	cfg := model.Cfg
+	esc := &wire.Escalation{
+		Session:   session,
+		Devices:   uint16(cfg.Devices),
+		F:         uint16(cfg.DeviceFilters),
+		H:         uint16(cfg.FeatureH()),
+		W:         uint16(cfg.FeatureW()),
+		SampleIDs: []uint64{sampleID},
+		Masks:     []uint16{1<<uint(cfg.Devices) - 1},
+	}
+	if cfg.UseEdge {
+		esc.Thresholds = []float64{1} // the edge answers every sample
+	}
+	esc.Bits = make([]byte, esc.PresentCount()*esc.SampleBytes())
+	return esc
 }
 
 func TestDeviceRepliesErrorForUnknownSample(t *testing.T) {
@@ -433,15 +470,26 @@ func TestDeviceRepliesErrorForUnknownSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := wire.Encode(conn, &wire.CaptureRequest{SampleID: 1 << 40}); err != nil {
+	// A capture marks the sample absent; a feature fetch answers 404.
+	if _, err := wire.Encode(conn, &wire.CaptureBatch{Session: 1, SampleIDs: []uint64{1 << 40}}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := wire.Decode(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(*wire.Error); !ok {
-		t.Errorf("device replied %v to out-of-range sample, want Error", msg.MsgType())
+	if sb, ok := msg.(*wire.SummaryBatch); !ok || sb.Count != 1 || sb.PresentCount() != 0 {
+		t.Errorf("device replied %+v to capture of out-of-range sample, want an all-absent SummaryBatch", msg)
+	}
+	if _, err := wire.Encode(conn, &wire.FeatureBatchRequest{Session: 2, SampleIDs: []uint64{1 << 40}}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err = wire.Decode(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := msg.(*wire.Error); !ok || e.Code != 404 || e.Session != 2 {
+		t.Errorf("device replied %+v to feature fetch of out-of-range sample, want Error 404", msg)
 	}
 }
 

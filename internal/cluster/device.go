@@ -47,8 +47,9 @@ type Feed func(sampleID uint64) (*tensor.Tensor, error)
 const maxRetainedFeatures = 256
 
 // Device is an end-device node: it owns one device section of the DDNN and
-// serves capture and feature-upload requests from the gateway. Requests
-// are served concurrently; the model section is shared read-only.
+// serves the gateway's CaptureBatch and FeatureBatchRequest frames.
+// Requests are served concurrently; the model section is shared
+// read-only.
 type Device struct {
 	model  *core.Model
 	reg    *modelRegistry
@@ -64,7 +65,7 @@ type Device struct {
 	pool *tensor.Pool
 
 	mu        sync.Mutex // guards features/featOrder only
-	features  map[uint64]*retainedFeature
+	features  map[uint64]retainedFeature
 	featOrder []uint64 // insertion order for eviction
 
 	listener net.Listener
@@ -90,7 +91,7 @@ func NewDevice(model *core.Model, index int, feed Feed, logger *slog.Logger) *De
 		feed:     feed,
 		logger:   logger.With("node", fmt.Sprintf("device-%d", index)),
 		pool:     tensor.NewPool(),
-		features: make(map[uint64]*retainedFeature),
+		features: make(map[uint64]retainedFeature),
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
@@ -179,22 +180,6 @@ func (d *Device) handle(conn net.Conn) {
 			continue
 		}
 		switch m := msg.(type) {
-		case *wire.CaptureRequest:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onCapture(send, m); err != nil {
-					d.logger.Debug("capture failed", "sample", m.SampleID, "err", err)
-				}
-			}()
-		case *wire.FeatureRequest:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onFeatureRequest(send, m); err != nil {
-					d.logger.Debug("feature upload failed", "sample", m.SampleID, "err", err)
-				}
-			}()
 		case *wire.CaptureBatch:
 			reqs.Add(1)
 			go func() {
@@ -223,43 +208,30 @@ func (d *Device) handle(conn net.Conn) {
 	}
 }
 
-// onCapture processes the device's sensor frame through its DNN section
-// and replies with the exit summary vector. The binarized feature map is
-// retained under the session ID so a later FeatureRequest can upload it
-// without recomputing.
-func (d *Device) onCapture(send func(wire.Message) error, m *wire.CaptureRequest) error {
-	model, _, err := d.reg.resolve(m.ModelVersion)
-	if err != nil {
-		return send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-	}
-	x, err := d.feed(m.SampleID)
-	if err != nil {
-		return send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
-	}
-	feat, exitVec := model.DeviceForwardPooled(d.index, x, d.pool)
-	d.retainFeature(m.Session, feat, nil)
-
-	probs := make([]float32, exitVec.Dim(1))
-	copy(probs, exitVec.Row(0))
-	d.pool.Put(exitVec)
-	return send(&wire.LocalSummary{
-		Session:  m.Session,
-		SampleID: m.SampleID,
-		Device:   uint16(d.index),
-		Probs:    probs,
-	})
-}
-
 // retainedFeature caches the binarized feature maps of one capture under
-// its session ID: a [N, F, H, W] tensor plus, for batched captures, the
-// row index of each sample ID (nil for single-sample captures, whose
-// tensor is [1, ...]).
+// its session ID: a [rows, F, H, W] tensor whose row r belongs to sample
+// ids[r]. Rows follow the capture's batch order, skipping samples the
+// feed had no frame for.
 type retainedFeature struct {
 	feat *tensor.Tensor
-	rows map[uint64]int
+	ids  []uint64
 }
 
-func (d *Device) retainFeature(session uint64, feat *tensor.Tensor, rows map[uint64]int) {
+// row returns the row of sample id at or after from, wrapping around, or
+// -1. Feature requests list their samples as an in-order subsequence of
+// the capture, so a cursor that resumes after the last hit keeps a whole
+// request linear in the batch length.
+func (rf retainedFeature) row(id uint64, from int) int {
+	for k := range rf.ids {
+		r := (from + k) % len(rf.ids)
+		if rf.ids[r] == id {
+			return r
+		}
+	}
+	return -1
+}
+
+func (d *Device) retainFeature(session uint64, rf retainedFeature) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if prev, exists := d.features[session]; exists {
@@ -267,7 +239,7 @@ func (d *Device) retainFeature(session uint64, feat *tensor.Tensor, rows map[uin
 	} else {
 		d.featOrder = append(d.featOrder, session)
 	}
-	d.features[session] = &retainedFeature{feat: feat, rows: rows}
+	d.features[session] = rf
 	for len(d.featOrder) > maxRetainedFeatures {
 		oldest := d.featOrder[0]
 		d.featOrder = d.featOrder[1:]
@@ -278,12 +250,12 @@ func (d *Device) retainFeature(session uint64, feat *tensor.Tensor, rows map[uin
 	}
 }
 
-func (d *Device) takeFeature(session uint64) (*retainedFeature, bool) {
+func (d *Device) takeFeature(session uint64) (retainedFeature, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	rf, ok := d.features[session]
 	if !ok {
-		return nil, false
+		return retainedFeature{}, false
 	}
 	delete(d.features, session)
 	for i, s := range d.featOrder {
@@ -295,135 +267,89 @@ func (d *Device) takeFeature(session uint64) (*retainedFeature, bool) {
 	return rf, true
 }
 
-func (d *Device) onFeatureRequest(send func(wire.Message) error, m *wire.FeatureRequest) error {
-	model, _, rerr := d.reg.resolve(m.ModelVersion)
-	if rerr != nil {
-		return send(&wire.Error{Session: m.Session, Code: 426, Msg: rerr.Error()})
-	}
-	var feat *tensor.Tensor
-	if rf, ok := d.takeFeature(m.Session); ok && rf.rows == nil {
-		// The retained map was computed under the same session — and the
-		// gateway stamps one concrete version per session — so it is
-		// already the right version's feature map.
-		feat = rf.feat
-	} else {
-		if ok {
-			// Batch-retained feature under the same session tag: not
-			// usable for a single-sample request, but still pool-owned.
-			d.pool.Put(rf.feat)
-		}
-		// The cached map was evicted (or the capture never happened —
-		// e.g. a second gateway attached to this device); recompute from
-		// the sensor feed so eviction only costs time, not the session.
-		x, err := d.feed(m.SampleID)
-		if err != nil {
-			return send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
-		}
-		var exitVec *tensor.Tensor
-		feat, exitVec = model.DeviceForwardPooled(d.index, x, d.pool)
-		d.pool.Put(exitVec)
-	}
-	bits := model.PackFeature(feat)
-	f, h, w := feat.Dim(1), feat.Dim(2), feat.Dim(3)
-	d.pool.Put(feat)
-	return send(&wire.FeatureUpload{
-		Session:  m.Session,
-		SampleID: m.SampleID,
-		Device:   uint16(d.index),
-		F:        uint16(f),
-		H:        uint16(h),
-		W:        uint16(w),
-		Bits:     bits,
-	})
-}
-
-// onCaptureBatch stacks the batch's sensor frames into one tensor and
-// runs the device section once, so conv/GEMM setup amortizes across the
-// whole micro-batch. Samples whose feed has no frame are marked absent in
-// the reply's presence bitmask; the rest get one summary row each, and
-// their feature rows are retained for a possible FeatureBatchRequest.
+// onCaptureBatch stacks the session's sensor frames straight into one
+// pooled tensor and runs the device section once, so conv/GEMM setup
+// amortizes across the batch. Samples whose feed has no frame are marked
+// absent in the reply's presence bitmask; the rest get one summary row
+// each, and their feature rows are retained for a possible
+// FeatureBatchRequest. A sample listed twice simply takes two rows.
 func (d *Device) onCaptureBatch(send func(wire.Message) error, m *wire.CaptureBatch) error {
 	model, _, err := d.reg.resolve(m.ModelVersion)
 	if err != nil {
 		return send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 	}
 	n := len(m.SampleIDs)
-	present := make([]bool, n)
-	frames := make([]*tensor.Tensor, 0, n)
-	rows := make(map[uint64]int, n)
+	cfg := model.Cfg
+	reply := &wire.SummaryBatch{
+		Session: m.Session, Device: uint16(d.index), Classes: uint16(cfg.Classes),
+		Count: uint16(n), Present: make([]byte, (n+7)/8),
+	}
+	stacked := d.pool.GetDirty(n, cfg.InputC, cfg.InputH, cfg.InputW)
+	ids := make([]uint64, 0, n)
 	for i, id := range m.SampleIDs {
 		x, err := d.feed(id)
-		if err != nil {
+		if err != nil || x.Size() != stacked.SampleSize() {
 			continue // absent frame (object not in view / feed error)
 		}
-		present[i] = true
-		if _, dup := rows[id]; !dup {
-			rows[id] = len(frames)
-			frames = append(frames, x)
-		}
+		copy(stacked.Sample(len(ids)), x.Data())
+		ids = append(ids, id)
+		reply.Present[i/8] |= 1 << uint(i%8)
 	}
-	classes := uint16(model.Cfg.Classes)
-	if len(frames) == 0 {
-		return send(&wire.SummaryBatch{
-			Session: m.Session, Device: uint16(d.index), Classes: classes,
-			Count: uint16(n), Present: wire.PackPresent(present),
-		})
+	if len(ids) == 0 {
+		d.pool.Put(stacked)
+		return send(reply)
 	}
-	cfg := model.Cfg
-	stacked := d.pool.GetDirty(len(frames), cfg.InputC, cfg.InputH, cfg.InputW)
-	tensor.StackInto(stacked, frames)
-	feat, exitVec := model.DeviceForwardPooled(d.index, stacked, d.pool)
+	in := stacked
+	if len(ids) < n {
+		in = tensor.FromSlice(stacked.Data()[:len(ids)*stacked.SampleSize()], len(ids), cfg.InputC, cfg.InputH, cfg.InputW)
+	}
+	feat, exitVec := model.DeviceForwardPooled(d.index, in, d.pool)
 	d.pool.Put(stacked)
-	d.retainFeature(m.Session, feat, rows)
-
-	probs := make([]float32, 0, n*int(classes))
-	for i, id := range m.SampleIDs {
-		if !present[i] {
-			continue
-		}
-		probs = append(probs, exitVec.Row(rows[id])...)
-	}
+	d.retainFeature(m.Session, retainedFeature{feat: feat, ids: ids})
+	// Rows are the present samples in batch order: exactly the reply's
+	// summary rows. Encode copies them before the tensor goes back.
+	reply.Probs = exitVec.Data()
+	err = send(reply)
 	d.pool.Put(exitVec)
-	return send(&wire.SummaryBatch{
-		Session: m.Session, Device: uint16(d.index), Classes: classes,
-		Count: uint16(n), Present: wire.PackPresent(present), Probs: probs,
-	})
+	return err
 }
 
 // onFeatureBatchRequest packs the retained feature rows of the requested
-// samples — the batch subset that missed the local exit — into one
-// FeatureBatch frame. Evicted (or never-captured) samples are recomputed
-// from the feed; a sample the feed cannot produce fails the whole fetch,
-// and the gateway degrades by dropping this device from the batch.
+// samples — the subset of the capture that missed the local exit — into
+// one FeatureBatch frame. Evicted (or never-captured) samples are
+// recomputed from the feed; a sample the feed cannot produce fails the
+// whole fetch with 404, and the gateway degrades by dropping this device
+// from the session.
 func (d *Device) onFeatureBatchRequest(send func(wire.Message) error, m *wire.FeatureBatchRequest) error {
 	model, _, rerr := d.reg.resolve(m.ModelVersion)
 	if rerr != nil {
 		return send(&wire.Error{Session: m.Session, Code: 426, Msg: rerr.Error()})
 	}
-	rf, _ := d.takeFeature(m.Session)
-	if rf != nil && rf.rows == nil {
-		d.pool.Put(rf.feat)
-		rf = nil // single-sample capture under the same session tag
-	}
-	if rf != nil {
+	// The retained maps were computed under the same session — and the
+	// gateway stamps one concrete version per session — so they are
+	// already the right version's features.
+	rf, ok := d.takeFeature(m.Session)
+	if ok {
 		defer d.pool.Put(rf.feat)
 	}
 	cfg := model.Cfg
 	f, h, w := cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW()
-	bits := make([]byte, 0, len(m.SampleIDs)*((f*h*w+7)/8))
-	for _, id := range m.SampleIDs {
-		if rf != nil {
-			if row, ok := rf.rows[id]; ok {
-				bits = append(bits, model.PackFeatureSample(rf.feat, row)...)
-				continue
-			}
+	sb := (f*h*w + 7) / 8
+	bits := make([]byte, len(m.SampleIDs)*sb)
+	next := 0
+	for k, id := range m.SampleIDs {
+		dst := bits[k*sb : (k+1)*sb]
+		if r := rf.row(id, next); r >= 0 {
+			model.PackFeatureSampleInto(dst, rf.feat, r)
+			next = r + 1
+			continue
 		}
 		x, err := d.feed(id)
 		if err != nil {
 			return send(&wire.Error{Session: m.Session, Code: 404, Msg: err.Error()})
 		}
 		feat, exitVec := model.DeviceForwardPooled(d.index, x, d.pool)
-		bits = append(bits, model.PackFeature(feat)...)
+		model.PackFeatureSampleInto(dst, feat, 0)
 		d.pool.Put(feat)
 		d.pool.Put(exitVec)
 	}

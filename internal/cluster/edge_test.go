@@ -421,9 +421,9 @@ func TestTwoGatewaysShareOneEdge(t *testing.T) {
 }
 
 func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
-	// A two-tier cloud must reject EdgeFeature, and an edge-tier cloud
-	// must reject CloudClassify: the hierarchy is part of the protocol
-	// contract.
+	// A two-tier cloud must reject edge feature maps, and an edge-tier
+	// cloud must reject a device-feature escalation: the hierarchy is
+	// part of the protocol contract.
 	twoTier, _ := fixture(t)
 	threeTier, _ := edgeFixture(t)
 	cases := []struct {
@@ -431,9 +431,9 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 		model *core.Model
 		msg   wire.Message
 	}{
-		{"two-tier rejects EdgeFeature", twoTier, &wire.EdgeFeature{Session: 1, SampleID: 1, F: 8, H: 8, W: 8, Bits: make([]byte, 64)}},
-		{"edge-tier rejects CloudClassify", threeTier, &wire.CloudClassify{Session: 1, SampleID: 1, Devices: 6, Mask: 1}},
-		{"edge-tier rejects bad shape", threeTier, &wire.EdgeFeature{Session: 1, SampleID: 1, F: 1, H: 1, W: 1, Bits: make([]byte, 1)}},
+		{"two-tier rejects EdgeFeatureBatch", twoTier, &wire.EdgeFeatureBatch{Session: 1, F: 8, H: 8, W: 8, SampleIDs: []uint64{1}, Bits: make([]byte, 64)}},
+		{"edge-tier rejects Classify escalation", threeTier, escalationFor(threeTier, 1, 1)},
+		{"edge-tier rejects bad shape", threeTier, &wire.EdgeFeatureBatch{Session: 1, F: 1, H: 1, W: 1, SampleIDs: []uint64{1}, Bits: make([]byte, 1)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -455,8 +455,72 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := msg.(*wire.Error); !ok {
-				t.Errorf("cloud replied %v, want Error", msg.MsgType())
+			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 {
+				t.Errorf("cloud replied %+v, want Error 400", msg)
+			}
+		})
+	}
+}
+
+// TestMalformedEscalationKeepsConnection sends each upstream tier an
+// escalation whose feature bytes do not match its masks: the receiver
+// must answer a typed 400 for that session and keep serving the
+// connection, so the next valid escalation still gets its verdicts.
+func TestMalformedEscalationKeepsConnection(t *testing.T) {
+	twoTier, _ := fixture(t)
+	threeTier, _ := edgeFixture(t)
+	cases := []struct {
+		name  string
+		model *core.Model
+		serve func(tr transport.Transport, addr string) (func() error, error)
+	}{
+		{"cloud", twoTier, func(tr transport.Transport, addr string) (func() error, error) {
+			c := NewCloud(twoTier, quietLogger())
+			return c.Close, c.Serve(tr, addr)
+		}},
+		{"edge", threeTier, func(tr transport.Transport, addr string) (func() error, error) {
+			e, err := NewEdge(threeTier, DefaultEdgeConfig(), quietLogger())
+			if err != nil {
+				return nil, err
+			}
+			return e.Close, e.Serve(tr, addr)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := transport.NewMem()
+			stop, err := tc.serve(tr, "upstream")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			conn, err := tr.Dial(context.Background(), "upstream")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			bad := escalationFor(tc.model, 1, 5)
+			bad.Bits = bad.Bits[:len(bad.Bits)-1] // one byte short of the masks
+			if _, err := wire.Encode(conn, bad); err != nil {
+				t.Fatal(err)
+			}
+			msg, err := wire.Decode(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 || e.Session != 1 {
+				t.Fatalf("malformed escalation answered %+v, want Error 400 for session 1", msg)
+			}
+			if _, err := wire.Encode(conn, escalationFor(tc.model, 2, 5)); err != nil {
+				t.Fatal(err)
+			}
+			msg, err = wire.Decode(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, ok := msg.(*wire.ResultBatch)
+			if !ok || rb.Session != 2 || len(rb.Verdicts) != 1 || rb.Verdicts[0].SampleID != 5 {
+				t.Fatalf("valid escalation after a malformed one answered %+v, want one verdict for sample 5", msg)
 			}
 		})
 	}

@@ -259,11 +259,11 @@ func (e *Engine) ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant
 		return nil, err
 	}
 	defer e.endSession()
-	return e.gw.ClassifyTenantShed(ctx, sampleID, tenant, level)
+	return first(e.gw.classify(ctx, []uint64{sampleID}, e.gw.TenantPipeline(tenant).Shed(level)))
 }
 
-// runBatch runs one multi-sample gateway session under the engine's
-// semaphore and lifecycle tracking.
+// runBatch runs one gateway session under the engine's semaphore and
+// lifecycle tracking.
 func (e *Engine) runBatch(ctx context.Context, sampleIDs []uint64, tenant string, level ShedLevel) ([]*Result, error) {
 	select {
 	case e.sem <- struct{}{}:
@@ -275,16 +275,17 @@ func (e *Engine) runBatch(ctx context.Context, sampleIDs []uint64, tenant string
 		return nil, err
 	}
 	defer e.endSession()
-	return e.gw.ClassifyBatchTenantShed(ctx, sampleIDs, tenant, level)
+	return e.gw.classify(ctx, sampleIDs, e.gw.TenantPipeline(tenant).Shed(level))
 }
 
 // ClassifyBatch classifies the samples and returns results in input
 // order. With micro-batching enabled the IDs are chunked into
-// Batch.MaxBatch-sized multi-sample sessions that run concurrently
-// (bounded by MaxConcurrency); otherwise each sample runs as its own
-// session. The first session error cancels the remaining sessions and is
-// returned; results for sessions that completed before the failure are
-// still filled in (nil entries mark samples that did not complete).
+// Batch.MaxBatch-sized sessions; otherwise each sample runs as its own
+// one-sample session. Sessions run concurrently, bounded by
+// MaxConcurrency. The first session error cancels the remaining sessions
+// and is returned; results for sessions that completed before the
+// failure are still filled in (nil entries mark samples that did not
+// complete).
 func (e *Engine) ClassifyBatch(ctx context.Context, sampleIDs []uint64) ([]*Result, error) {
 	return e.ClassifyBatchShed(ctx, sampleIDs, ShedNone)
 }
@@ -303,59 +304,16 @@ func (e *Engine) ClassifyBatchTenantShed(ctx context.Context, sampleIDs []uint64
 	if len(sampleIDs) == 0 {
 		return results, nil
 	}
+	size := 1
 	if e.collector != nil {
-		return e.classifyChunked(ctx, sampleIDs, results, tenant, level)
+		size = e.collector.maxBatch
 	}
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// One worker per semaphore slot, not per sample: huge batches must
-	// not allocate a goroutine per ID just to park on the semaphore.
-	workers := cap(e.sem)
-	if workers > len(sampleIDs) {
-		workers = len(sampleIDs)
-	}
-	indices := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				res, err := e.ClassifyTenantShed(bctx, sampleIDs[i], tenant, level)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("sample %d: %w", sampleIDs[i], err)
-						cancel()
-					})
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	for i := range sampleIDs {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-	if firstErr != nil {
-		return results, firstErr
-	}
-	return results, nil
-}
-
-// classifyChunked splits the IDs into MaxBatch-sized chunks, each a
-// single multi-sample session, and runs the chunks concurrently.
-func (e *Engine) classifyChunked(ctx context.Context, sampleIDs []uint64, results []*Result, tenant string, level ShedLevel) ([]*Result, error) {
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	size := e.collector.maxBatch
 	type chunk struct{ lo, hi int }
 	chunks := make(chan chunk)
+	// One worker per semaphore slot, not per chunk: huge batches must not
+	// allocate a goroutine per session just to park on the semaphore.
 	workers := cap(e.sem)
 	if max := (len(sampleIDs) + size - 1) / size; workers > max {
 		workers = max
@@ -382,11 +340,7 @@ func (e *Engine) classifyChunked(ctx context.Context, sampleIDs []uint64, result
 		}()
 	}
 	for lo := 0; lo < len(sampleIDs); lo += size {
-		hi := lo + size
-		if hi > len(sampleIDs) {
-			hi = len(sampleIDs)
-		}
-		chunks <- chunk{lo, hi}
+		chunks <- chunk{lo, min(lo+size, len(sampleIDs))}
 	}
 	close(chunks)
 	wg.Wait()

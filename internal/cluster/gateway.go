@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,10 +93,12 @@ type Result struct {
 // its healthy replicas and fail over to another replica when one dies
 // mid-session.
 //
-// Classify is safe for concurrent use: each call opens an independent
-// session, tagged with a unique session ID, and the device and upstream
-// links multiplex frames from all in-flight sessions. Only the
-// per-device failure bookkeeping is shared, behind a short-lived mutex.
+// Every classification is one session over a batch of n ≥ 1 samples;
+// Classify is the batch of one. Classify and ClassifyBatch are safe for
+// concurrent use: each call opens an independent session, tagged with a
+// unique session ID, and the device and upstream links multiplex frames
+// from all in-flight sessions. Only the per-device failure bookkeeping is
+// shared, behind a short-lived mutex.
 type Gateway struct {
 	model    *core.Model
 	reg      *modelRegistry
@@ -106,6 +109,9 @@ type Gateway struct {
 
 	devices  []*deviceLink
 	upstream *ReplicaPool // edge tier for edge-tier models, cloud otherwise
+
+	// pool recycles the sessions' exit-vector batches.
+	pool *tensor.Pool
 
 	nextSession atomic.Uint64
 
@@ -202,6 +208,7 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 		pipeline:      pipeline,
 		logger:        logger.With("node", "gateway"),
 		tr:            tr,
+		pool:          tensor.NewPool(),
 		Meter:         metrics.NewCommMeter(),
 		configVersion: 1,
 		tenants:       make(map[string]tenantEntry),
@@ -299,42 +306,68 @@ func (g *Gateway) WireBytesDown() int64 {
 	return t
 }
 
-// capReply carries one device's response to a capture request.
+// capReply carries one device's answer to a session's CaptureBatch.
 type capReply struct {
 	device  int
-	probs   []float32
+	sum     *wire.SummaryBatch // nil when the device had no frame at all
 	timeout bool
-	err     error // session-fatal (context) error
+	err     error // session-fatal (context or model-version) error
 }
 
-// Classify runs the full staged inference of §III-D for one sample as an
-// independent session. It honors ctx cancellation and deadlines at every
-// stage; on cancellation the error wraps ErrCanceled (or
-// ErrDeadlineExceeded) as well as the context error.
+// fetchReply carries one device's answer to a FeatureBatchRequest.
+type fetchReply struct {
+	device int
+	fb     *wire.FeatureBatch
+	err    error
+}
+
+// Classify runs the full staged inference of §III-D for one sample: a
+// session whose batch is that one sample. It honors ctx cancellation
+// and deadlines at every stage; on cancellation the error wraps
+// ErrCanceled (or ErrDeadlineExceeded) as well as the context error.
 func (g *Gateway) Classify(ctx context.Context, sampleID uint64) (*Result, error) {
-	return g.classify(ctx, sampleID, g.pipeline)
+	return first(g.classify(ctx, []uint64{sampleID}, g.pipeline))
 }
 
-// ClassifyShed is Classify over the pipeline tightened for a shed level:
-// the session answers at a cheaper exit than the configured thresholds
-// would pick, trading answer quality for upstream-tier load. Results are
-// produced by exactly the same staged computation — only the exit
-// decision moves.
-func (g *Gateway) ClassifyShed(ctx context.Context, sampleID uint64, level ShedLevel) (*Result, error) {
-	return g.classify(ctx, sampleID, g.pipeline.Shed(level))
+// ClassifyBatch runs the full staged inference of §III-D for a batch of
+// samples as one session: one capture round trip per device, one
+// aggregated forward pass per device-mask group, and — for the samples
+// that miss the local exit — one escalation carrying only the hard
+// remainder upstream. Every stage processes samples row-wise, so a
+// sample's decision and probabilities do not depend on the batch it
+// rides in: batching changes wire framing and dispatch overhead, never
+// results.
+//
+// The returned slice always has len(sampleIDs) entries in input order.
+// When some samples fail (e.g. no device produced a summary for them, or
+// the upstream tier was unreachable) their entries are nil and the first
+// such failure is returned alongside the successful results.
+func (g *Gateway) ClassifyBatch(ctx context.Context, sampleIDs []uint64) ([]*Result, error) {
+	return g.classify(ctx, sampleIDs, g.pipeline)
 }
 
-// ClassifyTenantShed is ClassifyShed under a tenant's exit-threshold
-// pipeline: the tenant resolved at admission (from the auth identity)
-// selects the thresholds, then the shed level tightens them. Unknown
-// tenants run the gateway default pipeline.
-func (g *Gateway) ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant string, level ShedLevel) (*Result, error) {
-	return g.classify(ctx, sampleID, g.TenantPipeline(tenant).Shed(level))
+// first unwraps the outcome of a one-sample session.
+func first(results []*Result, err error) (*Result, error) {
+	if len(results) == 0 || results[0] == nil {
+		if err == nil {
+			err = ErrNoSummaries
+		}
+		return nil, err
+	}
+	return results[0], nil
 }
 
-// classify runs one session over an explicit exit pipeline (the
-// configured one, or a per-request shed override).
-func (g *Gateway) classify(ctx context.Context, sampleID uint64, pipeline Pipeline) (*Result, error) {
+// classify runs one session over an explicit exit pipeline — the
+// configured one, or a tenant's, tightened for a shed level. It is the
+// gateway's only session driver: a single sample is a batch of one.
+func (g *Gateway) classify(ctx context.Context, sampleIDs []uint64, pipeline Pipeline) ([]*Result, error) {
+	n := len(sampleIDs)
+	if n == 0 {
+		return nil, nil
+	}
+	if n > wire.MaxBatch {
+		return nil, fmt.Errorf("cluster: batch of %d samples exceeds wire.MaxBatch (%d)", n, wire.MaxBatch)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, ctxErr(err)
 	}
@@ -348,28 +381,31 @@ func (g *Gateway) classify(ctx context.Context, sampleID uint64, pipeline Pipeli
 	// time.
 	model, mv, _ := g.reg.resolve(0)
 	classes := model.Cfg.Classes
+	devices := len(g.devices)
 
 	// Pin the session to the membership and config version current right
 	// now: devices joining or leaving mid-session cannot change which
 	// links this session fans out to.
 	snap := g.snapshotMembers()
 
-	// Stage 1: every live device processes its frame and sends its summary
-	// to the local aggregator.
-	replies := make(chan capReply, len(snap.links))
+	// Stage 1: every live device processes the whole batch in one forward
+	// pass and sends a single summary frame to the local aggregator.
+	replies := make(chan capReply, devices)
+	req := &wire.CaptureBatch{Session: sid, ModelVersion: mv, SampleIDs: sampleIDs}
 	inFlight := 0
 	for d, l := range snap.links {
 		if l == nil {
 			continue
 		}
 		inFlight++
-		go g.captureFrom(ctx, d, l, sid, sampleID, mv, replies)
+		go g.capture(ctx, d, l, req, replies)
 	}
-	exitVecs := make([]*tensor.Tensor, len(g.devices))
-	present := make([]bool, len(g.devices))
+	exitVecs := make([]*tensor.Tensor, devices)
 	for d := range exitVecs {
-		exitVecs[d] = tensor.New(1, classes)
+		exitVecs[d] = g.pool.Get(n, classes)
 	}
+	defer releaseAll(exitVecs, g.pool)
+	masks := make([]uint16, n) // per sample: the devices that summarized it
 	for i := 0; i < inFlight; i++ {
 		r := <-replies
 		if r.err != nil {
@@ -380,64 +416,91 @@ func (g *Gateway) classify(ctx context.Context, sampleID uint64, pipeline Pipeli
 			continue
 		}
 		g.recordSuccess(r.device, snap.links[r.device])
-		if r.probs == nil {
-			continue // device had no frame (object absent / feed error)
+		if r.sum == nil {
+			continue
 		}
-		copy(exitVecs[r.device].Row(0), r.probs)
-		present[r.device] = true
-		g.Meter.Add("local-summary", int64(wire.SummaryPayloadBytes(classes)))
+		row := 0
+		for s := 0; s < n; s++ {
+			if !r.sum.Has(s) {
+				continue
+			}
+			copy(exitVecs[r.device].Row(s), r.sum.Probs[row*classes:(row+1)*classes])
+			row++
+			masks[s] |= 1 << uint(r.device)
+		}
+		g.Meter.Add("local-summary", int64(row*wire.SummaryPayloadBytes(classes)))
 	}
 
-	anyPresent := false
-	for _, p := range present {
-		anyPresent = anyPresent || p
+	// Stage 2: aggregate and decide the first exit. Samples sharing a
+	// device-presence mask aggregate in one masked forward pass, which is
+	// the common whole-batch case when every device is up.
+	results := make([]*Result, n)
+	defer func() {
+		// One exit observation per classified sample, after the session
+		// settles (local exits and escalated verdicts alike).
+		for _, r := range results {
+			if r != nil {
+				g.instr.observeExit(r.Exit, r.Latency)
+			}
+		}
+	}()
+	entropies := make([]float64, n)
+	var firstErr error
+	var escalate []int
+	for _, grp := range groupByMask(masks, devices) {
+		if grp.mask == 0 {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("cluster: sample %d: %w", sampleIDs[grp.indices[0]], ErrNoSummaries)
+			}
+			continue
+		}
+		vecs := selectGroup(exitVecs, grp.indices, n, g.pool)
+		logits := model.LocalAggregate(vecs, grp.present)
+		releaseGroup(exitVecs, vecs, g.pool)
+		probs := nn.Softmax(logits)
+		for k, idx := range grp.indices {
+			entropies[idx] = nn.NormalizedEntropy(probs.Row(k))
+			if entropies[idx] > pipeline[0].Threshold {
+				escalate = append(escalate, idx)
+				continue
+			}
+			row := make([]float32, classes)
+			copy(row, probs.Row(k))
+			results[idx] = &Result{
+				SampleID:      sampleIDs[idx],
+				Class:         probs.ArgMaxRow(k),
+				Exit:          wire.ExitLocal,
+				Probs:         row,
+				Entropy:       entropies[idx],
+				Present:       presentOf(masks[idx], devices),
+				ConfigVersion: snap.version,
+				ModelVersion:  mv,
+				Latency:       time.Since(start),
+			}
+		}
 	}
-	if !anyPresent {
-		return nil, fmt.Errorf("cluster: sample %d: %w", sampleID, ErrNoSummaries)
-	}
-
-	// Stage 2: aggregate and decide the pipeline's first exit.
-	logits := model.LocalAggregate(exitVecs, present)
-	probs := nn.Softmax(logits)
-	row := make([]float32, classes)
-	copy(row, probs.Row(0))
-	entropy := nn.NormalizedEntropy(row)
 	g.instr.observeStage(wire.ExitLocal, time.Since(start))
-	if entropy <= pipeline[0].Threshold {
-		res := &Result{
-			SampleID:      sampleID,
-			Class:         probs.ArgMaxRow(0),
-			Exit:          wire.ExitLocal,
-			Probs:         row,
-			Entropy:       entropy,
-			Present:       present,
-			ConfigVersion: snap.version,
-			ModelVersion:  mv,
-			Latency:       time.Since(start),
-		}
-		g.instr.observeExit(res.Exit, res.Latency)
-		return res, nil
+	if len(escalate) == 0 {
+		return results, firstErr
 	}
 
-	// Stage 3: the local exit is not confident; fetch binarized features
-	// from present devices and escalate to the next tier up.
+	// Stage 3: the hard remainder — and only it — rides upstream as one
+	// escalation (the paper's staged partial exit).
 	escStart := time.Now()
-	res, err := g.escalate(ctx, snap, sid, sampleID, mv, model, present, pipeline)
-	if err != nil {
-		return nil, err
+	slices.Sort(escalate) // batch order across mask groups
+	err := g.escalate(ctx, snap, sid, mv, model, sampleIDs, escalate, masks, entropies, results, start, pipeline)
+	if err == nil {
+		g.instr.observeStage(g.upstreamExit(), time.Since(escStart))
 	}
-	g.instr.observeStage(g.upstreamExit(), time.Since(escStart))
-	res.Entropy = entropy
-	res.Present = present
-	res.ConfigVersion = snap.version
-	res.ModelVersion = mv
-	res.Latency = time.Since(start)
-	g.instr.observeExit(res.Exit, res.Latency)
-	return res, nil
+	if err != nil && firstErr == nil {
+		firstErr = err
+	}
+	return results, firstErr
 }
 
-func (g *Gateway) captureFrom(ctx context.Context, device int, l *link, sid, sampleID, mv uint64, replies chan<- capReply) {
-	msg, err := l.request(ctx, sid, &wire.CaptureRequest{Session: sid, SampleID: sampleID, ModelVersion: mv}, g.cfg.DeviceTimeout)
+// capture runs one device's capture round trip for a session.
+func (g *Gateway) capture(ctx context.Context, device int, l *link, req *wire.CaptureBatch, replies chan<- capReply) {
+	msg, err := l.request(ctx, req.Session, req, g.cfg.DeviceTimeout)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			replies <- capReply{device: device, err: ctxErr(cerr)}
@@ -447,8 +510,12 @@ func (g *Gateway) captureFrom(ctx context.Context, device int, l *link, sid, sam
 		return
 	}
 	switch m := msg.(type) {
-	case *wire.LocalSummary:
-		replies <- capReply{device: device, probs: m.Probs}
+	case *wire.SummaryBatch:
+		if int(m.Count) != len(req.SampleIDs) || int(m.Classes) != g.model.Cfg.Classes {
+			replies <- capReply{device: device, timeout: true}
+			return
+		}
+		replies <- capReply{device: device, sum: m}
 	case *wire.Error:
 		if m.Code == 426 {
 			// The device's registry no longer holds the session's pinned
@@ -457,147 +524,211 @@ func (g *Gateway) captureFrom(ctx context.Context, device int, l *link, sid, sam
 			replies <- capReply{device: device, err: fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)}
 			return
 		}
-		replies <- capReply{device: device} // absent frame
+		// The device had no frame for any sample (feed failure).
+		replies <- capReply{device: device}
 	default:
 		replies <- capReply{device: device, timeout: true}
 	}
 }
 
-// escalate fetches feature maps from present devices and relays them to
-// the next tier of the pipeline — an edge replica, which answers
-// confident samples itself and forwards the rest to the cloud, or a
-// cloud replica directly in a two-tier hierarchy. The replica pool picks
-// the least-loaded healthy replica and retries on another if the chosen
-// one dies mid-session. The relayed thresholds come from the session's
-// pipeline, so per-request shed overrides reach the upper tiers.
-func (g *Gateway) escalate(ctx context.Context, snap memberSnapshot, sid, sampleID, mv uint64, model *core.Model, present []bool, pipeline Pipeline) (*Result, error) {
+// fetch runs one device's feature round trip for a session.
+func (g *Gateway) fetch(ctx context.Context, device int, l *link, req *wire.FeatureBatchRequest, out chan<- fetchReply) {
+	msg, err := l.request(ctx, req.Session, req, g.cfg.DeviceTimeout)
+	if err != nil {
+		out <- fetchReply{device: device, err: err}
+		return
+	}
+	switch m := msg.(type) {
+	case *wire.FeatureBatch:
+		if int(m.Count) != len(req.SampleIDs) {
+			out <- fetchReply{device: device, err: fmt.Errorf("cluster: device %d sent %d feature maps, want %d", device, m.Count, len(req.SampleIDs))}
+			return
+		}
+		out <- fetchReply{device: device, fb: m}
+	case *wire.Error:
+		if m.Code == 426 {
+			out <- fetchReply{device: device, err: fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)}
+			return
+		}
+		out <- fetchReply{device: device, err: fmt.Errorf("cluster: device %d: %s", device, m.Msg)}
+	default:
+		out <- fetchReply{device: device, err: fmt.Errorf("cluster: expected FeatureBatch, got %v", msg.MsgType())}
+	}
+}
+
+// escalate fetches the escalating samples' feature maps from the devices
+// that cover them — each device packs its subset into one frame — and
+// relays them in one Escalation to a pool-scheduled replica of the next
+// tier: an edge replica, which answers confident samples itself and
+// forwards the rest to the cloud, or a cloud replica directly in a
+// two-tier hierarchy. The relayed thresholds come from the session's
+// pipeline, so tenant and shed overrides reach the upper tiers. Results
+// for every escalating index are filled from the returned ResultBatch;
+// if the replica dies mid-session the pool re-sends the frame to another.
+// escalate lists batch positions in ascending order.
+func (g *Gateway) escalate(ctx context.Context, snap memberSnapshot, sid, mv uint64, model *core.Model, sampleIDs []uint64, escalate []int, masks []uint16, entropies []float64, results []*Result, start time.Time, pipeline Pipeline) error {
+	sentinel := g.upstreamSentinel()
 	if g.upstream.Down() {
-		return nil, fmt.Errorf("cluster: sample %d: %w: %w", sampleID, g.upstreamSentinel(), ErrNoHealthyReplica)
+		return fmt.Errorf("cluster: %d escalating samples: %w: %w", len(escalate), sentinel, ErrNoHealthyReplica)
 	}
-	type upload struct {
-		device int
-		msg    *wire.FeatureUpload
-		err    error
+	devices := len(g.devices)
+	var union uint16
+	shared := true // every escalating sample has the same device mask
+	for _, idx := range escalate {
+		union |= masks[idx]
+		shared = shared && masks[idx] == masks[escalate[0]]
 	}
-	uploads := make(chan upload, len(snap.links))
+	// idsOf lists the escalating samples a device mask bit covers; when
+	// the masks agree, every covering device shares one request.
+	idsOf := func(bit uint16) []uint64 {
+		if len(escalate) == len(sampleIDs) && shared {
+			return sampleIDs // everything escalates, in batch order
+		}
+		var ids []uint64
+		for _, idx := range escalate {
+			if masks[idx]&bit != 0 {
+				ids = append(ids, sampleIDs[idx])
+			}
+		}
+		return ids
+	}
+	var sharedReq *wire.FeatureBatchRequest
+	if shared {
+		sharedReq = &wire.FeatureBatchRequest{Session: sid, ModelVersion: mv, SampleIDs: idsOf(union)}
+	}
+	fetches := make(chan fetchReply, devices)
 	inFlight := 0
-	for d, p := range present {
-		if !p {
+	for d := 0; d < devices; d++ {
+		bit := uint16(1) << uint(d)
+		if union&bit == 0 {
 			continue
+		}
+		req := sharedReq
+		if req == nil {
+			req = &wire.FeatureBatchRequest{Session: sid, ModelVersion: mv, SampleIDs: idsOf(bit)}
 		}
 		inFlight++
-		go func(device int, l *link) {
-			m, err := g.fetchFeatures(ctx, device, l, sid, sampleID, mv)
-			uploads <- upload{device: device, msg: m, err: err}
-		}(d, snap.links[d])
+		go g.fetch(ctx, d, snap.links[d], req, fetches)
 	}
-	var collected []*wire.FeatureUpload
-	var mask uint16
+	cfg := model.Cfg
+	got := make([]*wire.FeatureBatch, devices)
+	total := 0
 	for i := 0; i < inFlight; i++ {
-		u := <-uploads
-		if u.err != nil {
+		f := <-fetches
+		if f.err == nil && (int(f.fb.F) != cfg.DeviceFilters || int(f.fb.H) != cfg.FeatureH() || int(f.fb.W) != cfg.FeatureW()) {
+			f.err = fmt.Errorf("cluster: device %d feature shape %d×%d×%d, model expects %d×%d×%d",
+				f.device, f.fb.F, f.fb.H, f.fb.W, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
+		}
+		if f.err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, ctxErr(cerr)
+				return ctxErr(cerr)
 			}
-			if errors.Is(u.err, ErrModelVersionUnknown) {
-				return nil, fmt.Errorf("cluster: sample %d: %w", sampleID, u.err)
+			if errors.Is(f.err, ErrModelVersionUnknown) {
+				return fmt.Errorf("cluster: %d escalating samples: %w", len(escalate), f.err)
 			}
 			// The device answered the capture but died before the feature
-			// upload; degrade to the remaining devices.
-			g.logger.Warn("feature fetch failed", "device", u.device, "err", u.err)
-			present[u.device] = false
+			// fetch; degrade to the remaining devices for the session.
+			g.logger.Warn("feature fetch failed", "device", f.device, "err", f.err)
+			for _, idx := range escalate {
+				masks[idx] &^= 1 << uint(f.device)
+			}
 			continue
 		}
-		collected = append(collected, u.msg)
-		mask |= 1 << uint(u.device)
-		g.Meter.Add(g.uploadCategory(), int64(len(u.msg.Bits)))
+		got[f.device] = f.fb
+		total += len(f.fb.Bits)
+		g.Meter.Add(g.uploadCategory(), int64(len(f.fb.Bits)))
 	}
-	if len(collected) == 0 {
-		return nil, fmt.Errorf("cluster: no features collected for sample %d: %w", sampleID, ErrNoSummaries)
+	if total == 0 {
+		return fmt.Errorf("cluster: no features collected for %d escalating samples: %w", len(escalate), ErrNoSummaries)
+	}
+	// Samples whose every covering device died before the fetch have no
+	// features to escalate; drop them (their results stay nil) so the
+	// masks exactly describe the relayed features.
+	var dropErr error
+	kept := escalate[:0]
+	for _, idx := range escalate {
+		if masks[idx] == 0 {
+			if dropErr == nil {
+				dropErr = fmt.Errorf("cluster: sample %d: %w", sampleIDs[idx], ErrNoSummaries)
+			}
+			continue
+		}
+		kept = append(kept, idx)
+	}
+	escalate = kept
+
+	esc := &wire.Escalation{
+		Session:      sid,
+		ModelVersion: mv,
+		Devices:      uint16(devices),
+		F:            uint16(cfg.DeviceFilters),
+		H:            uint16(cfg.FeatureH()),
+		W:            uint16(cfg.FeatureW()),
+		SampleIDs:    sampleIDs,
+		Masks:        make([]uint16, len(escalate)),
+		Thresholds:   pipeline.RelayThresholds(),
+	}
+	if len(escalate) < len(sampleIDs) {
+		esc.SampleIDs = make([]uint64, len(escalate))
+		for k, idx := range escalate {
+			esc.SampleIDs[k] = sampleIDs[idx]
+		}
+	}
+	for k, idx := range escalate {
+		esc.Masks[k] = masks[idx]
+	}
+	// Device-major feature payload: each device's frame already holds its
+	// covered samples in batch order.
+	esc.Bits = make([]byte, 0, total)
+	for _, fb := range got {
+		if fb != nil {
+			esc.Bits = append(esc.Bits, fb.Bits...)
+		}
 	}
 
-	// Relay the session header and all uploads as one atomic batch to a
-	// pool-scheduled replica, then wait for this session's verdict on
-	// that replica's link. The header names the escalation target: the
-	// edge tier consumes its own threshold from the relayed pipeline and
-	// forwards the rest, while a two-tier cloud classifies
-	// unconditionally. Because the frames carry the session's complete
-	// feature payload, the pool can re-send them verbatim to a different
-	// replica if the first one dies mid-session.
-	sentinel := g.upstreamSentinel()
-	timeout := g.upstreamTimeout()
-	frames := make([]wire.Message, 0, len(collected)+1)
-	if g.upstreamExit() == wire.ExitEdge {
-		frames = append(frames, &wire.EdgeClassify{
-			Session:      sid,
-			SampleID:     sampleID,
-			ModelVersion: mv,
-			Devices:      uint16(model.Cfg.Devices),
-			Mask:         mask,
-			Thresholds:   pipeline.RelayThresholds(),
-		})
-	} else {
-		frames = append(frames, &wire.CloudClassify{
-			Session:      sid,
-			SampleID:     sampleID,
-			ModelVersion: mv,
-			Devices:      uint16(model.Cfg.Devices),
-			Mask:         mask,
-		})
-	}
-	for _, up := range collected {
-		up.Session = sid
-		frames = append(frames, up)
-	}
-	msg, err := g.upstream.relay(ctx, sid, timeout, frames...)
+	msg, err := g.upstream.relay(ctx, sid, g.upstreamTimeout(), esc)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, ctxErr(cerr)
+			return ctxErr(cerr)
 		}
-		return nil, fmt.Errorf("cluster: %w: %w", sentinel, err)
+		return fmt.Errorf("cluster: %w: %w", sentinel, err)
 	}
-	cr, ok := msg.(*wire.ClassifyResult)
+	rb, ok := msg.(*wire.ResultBatch)
 	if !ok {
 		if e, isErr := msg.(*wire.Error); isErr {
 			if e.Code == 503 {
 				// The edge reached its own exit but the tier above it
 				// did not answer.
-				return nil, fmt.Errorf("cluster: %w: %v tier: %s", ErrCloudUnavailable, g.upstreamExit(), e.Msg)
+				return fmt.Errorf("cluster: %w: %v tier: %s", ErrCloudUnavailable, g.upstreamExit(), e.Msg)
 			}
 			if e.Code == 426 {
-				return nil, fmt.Errorf("cluster: %w: %v tier: %s", ErrModelVersionUnknown, g.upstreamExit(), e.Msg)
+				return fmt.Errorf("cluster: %w: %v tier: %s", ErrModelVersionUnknown, g.upstreamExit(), e.Msg)
 			}
-			return nil, fmt.Errorf("cluster: %w: %v error %d: %s", sentinel, g.upstreamExit(), e.Code, e.Msg)
+			return fmt.Errorf("cluster: %w: %v error %d: %s", sentinel, g.upstreamExit(), e.Code, e.Msg)
 		}
-		return nil, fmt.Errorf("cluster: expected ClassifyResult, got %v", msg.MsgType())
+		return fmt.Errorf("cluster: expected ResultBatch, got %v", msg.MsgType())
 	}
-	if cr.SampleID != sampleID {
-		return nil, fmt.Errorf("cluster: %v tier answered sample %d inside session for sample %d", g.upstreamExit(), cr.SampleID, sampleID)
+	if len(rb.Verdicts) != len(escalate) {
+		return fmt.Errorf("cluster: %v tier answered %d verdicts for %d samples", g.upstreamExit(), len(rb.Verdicts), len(escalate))
 	}
-	return &Result{
-		SampleID: sampleID,
-		Class:    int(cr.Class),
-		Exit:     cr.Exit,
-		Probs:    cr.Probs,
-	}, nil
-}
-
-func (g *Gateway) fetchFeatures(ctx context.Context, device int, l *link, sid, sampleID, mv uint64) (*wire.FeatureUpload, error) {
-	msg, err := l.request(ctx, sid, &wire.FeatureRequest{Session: sid, SampleID: sampleID, ModelVersion: mv}, g.cfg.DeviceTimeout)
-	if err != nil {
-		return nil, err
-	}
-	switch m := msg.(type) {
-	case *wire.FeatureUpload:
-		return m, nil
-	case *wire.Error:
-		if m.Code == 426 {
-			return nil, fmt.Errorf("cluster: device %d: %w", device, ErrModelVersionUnknown)
+	for k, v := range rb.Verdicts {
+		idx := escalate[k]
+		if v.SampleID != sampleIDs[idx] {
+			return fmt.Errorf("cluster: %v tier verdict %d is for sample %d, want %d", g.upstreamExit(), k, v.SampleID, sampleIDs[idx])
 		}
-		return nil, fmt.Errorf("cluster: device %d: %s", device, m.Msg)
-	default:
-		return nil, fmt.Errorf("cluster: expected FeatureUpload, got %v", msg.MsgType())
+		results[idx] = &Result{
+			SampleID:      sampleIDs[idx],
+			Class:         int(v.Class),
+			Exit:          v.Exit,
+			Probs:         v.Probs,
+			Entropy:       entropies[idx],
+			Present:       presentOf(masks[idx], devices),
+			ConfigVersion: snap.version,
+			ModelVersion:  mv,
+			Latency:       time.Since(start),
+		}
 	}
+	return dropErr
 }
 
 // recordTimeout counts a consecutive miss and applies sticky marking.

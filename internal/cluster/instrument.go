@@ -15,9 +15,10 @@ import (
 // must be fast, non-blocking and safe for concurrent use.
 type Instrumentation struct {
 	// ExitObserved is called once per classified sample with the exit
-	// point that answered it and the session's wall-clock latency. For
-	// batched sessions it fires once per sample, all with the shared
-	// session latency.
+	// point that answered it and the session's wall-clock latency. A
+	// multi-sample session fires it once per sample, each with that
+	// sample's latency within the session, exactly as a single-sample
+	// batch would.
 	ExitObserved func(exit wire.ExitPoint, latency time.Duration)
 	// StageObserved is called once per tier round trip of a session:
 	// the device capture fan-out plus local-exit decision (reported as
@@ -25,8 +26,8 @@ type Instrumentation struct {
 	// fetch + escalation round trip attributed to the upstream tier
 	// (wire.ExitEdge or wire.ExitCloud — whichever tier the gateway
 	// talks to; a three-tier escalation's cloud hop is inside the edge
-	// round trip). Batched sessions report one observation per round
-	// trip, not per sample.
+	// round trip). A session reports one observation per round trip,
+	// not per sample, whatever its batch size.
 	StageObserved func(tier wire.ExitPoint, d time.Duration)
 }
 

@@ -101,23 +101,19 @@ func (l *link) unsubscribe(session uint64) {
 	l.mu.Unlock()
 }
 
-// send writes frames atomically with respect to other sessions. A
-// positive timeout bounds the whole batch via a write deadline, so a
-// stalled peer cannot wedge the link's writer; a zero or negative timeout
-// leaves the write unbounded (context-only callers).
-func (l *link) send(timeout time.Duration, msgs ...wire.Message) error {
+// send writes one frame atomically with respect to other sessions. A
+// positive timeout bounds the write via a write deadline, so a stalled
+// peer cannot wedge the link's writer; a zero or negative timeout leaves
+// the write unbounded (context-only callers).
+func (l *link) send(timeout time.Duration, m wire.Message) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	if timeout > 0 {
 		_ = l.conn.SetWriteDeadline(time.Now().Add(timeout))
 		defer l.conn.SetWriteDeadline(time.Time{})
 	}
-	for _, m := range msgs {
-		if _, err := wire.Encode(l.conn, m); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := wire.Encode(l.conn, m)
+	return err
 }
 
 // wait blocks until the session's next frame, the timeout, the context, or

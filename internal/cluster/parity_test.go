@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/ddnn/ddnn-go/internal/branchy"
@@ -43,9 +44,11 @@ func argmaxRow(row []float32) int {
 
 // checkStagedParity asserts that Engine.ClassifyBatch over the full test
 // set produces exactly the exit point and prediction of core's staged
-// Evaluate for every sample, at the given pipeline thresholds. batch <= 1
-// uses per-sample sessions; larger values drive the micro-batched wire
-// path in batch-sized multi-sample sessions.
+// Evaluate for every sample, at the given pipeline thresholds. batch 0
+// runs one-sample sessions through the engine, batch 1 drives the
+// gateway's ClassifyBatch directly with one-sample batches, and larger
+// values run batch-sized multi-sample sessions through the collector's
+// chunking.
 func checkStagedParity(t *testing.T, model *core.Model, test *dataset.Dataset, localT, edgeT float64, batch int) {
 	t.Helper()
 	res := model.Evaluate(test, nil, 32)
@@ -156,5 +159,68 @@ func TestEngineStagedParityEdgeTierBatched(t *testing.T) {
 		} {
 			checkStagedParity(t, model, test, ts[0], ts[1], batch)
 		}
+	}
+}
+
+// TestClassifyBatchDuplicateIDs sends one batch that names the same
+// sample several times, as the collector does when concurrent callers
+// ask for the same sample. Every copy must get the verdict a one-sample
+// session gives — bit-identical probabilities — and match the staged
+// reference, on both hierarchies, including when the samples escalate.
+func TestClassifyBatchDuplicateIDs(t *testing.T) {
+	ids := []uint64{7, 7, 3, 7}
+	for _, tc := range []struct {
+		name    string
+		fixture func(*testing.T) (*core.Model, *dataset.Dataset)
+	}{
+		{"two-tier", fixture},
+		{"three-tier", edgeFixture},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model, test := tc.fixture(t)
+			ref := model.Evaluate(test, nil, 32)
+			escalated := 0
+			// -1 escalates every sample past the local exit.
+			for _, localT := range []float64{0.8, -1} {
+				gcfg := DefaultGatewayConfig()
+				gcfg.Threshold = localT
+				pol := branchy.NewPolicy(localT, 1)
+				if model.Cfg.UseEdge {
+					pol = branchy.NewPolicy(localT, gcfg.EdgeThreshold, 1)
+				}
+				sim, err := NewSim(model, test, gcfg, transport.NewMem(), quietLogger())
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, err := sim.Gateway.ClassifyBatch(context.Background(), ids)
+				if err != nil {
+					sim.Close()
+					t.Fatal(err)
+				}
+				for i, res := range results {
+					id := ids[i]
+					single, err := sim.Gateway.Classify(context.Background(), id)
+					if err != nil {
+						sim.Close()
+						t.Fatal(err)
+					}
+					wantExit, wantClass := stagedExpectation(ref, pol, int(id))
+					if res.SampleID != id || res.Exit != wantExit || res.Class != wantClass {
+						t.Errorf("T=%v position %d: sample %d exit %v class %d, staged reference says %v/%d",
+							localT, i, res.SampleID, res.Exit, res.Class, wantExit, wantClass)
+					}
+					if res.Exit != single.Exit || !slices.Equal(res.Probs, single.Probs) || !slices.Equal(res.Present, single.Present) {
+						t.Errorf("T=%v position %d: sample %d differs from its one-sample session", localT, i, id)
+					}
+					if res.Exit != wire.ExitLocal {
+						escalated++
+					}
+				}
+				sim.Close()
+			}
+			if escalated == 0 {
+				t.Error("no sample escalated; the duplicate path above the local exit went untested")
+			}
+		})
 	}
 }

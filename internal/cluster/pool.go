@@ -110,7 +110,7 @@ func (r *replica) ensureLink(ctx context.Context, tr transport.Transport) error 
 // re-admits them via health-monitor probes or half-open trial sessions,
 // and retries an in-flight escalation on a different replica when one
 // dies mid-session — escalations are idempotent because every retry
-// re-sends the full bit-packed feature frames.
+// re-sends the full bit-packed feature frame.
 type ReplicaPool struct {
 	tier   wire.ExitPoint
 	tr     transport.Transport
@@ -391,15 +391,15 @@ func (p *ReplicaPool) setFenced(i int, fenced bool) {
 	r.mu.Unlock()
 }
 
-// relay runs one session's escalation with failover: it sends the frames
+// relay runs one session's escalation with failover: it sends the frame
 // to a scheduled replica and waits for the session's reply, retrying on
 // a different replica when one proves unreachable mid-session. Retries
-// are safe because frames carry the session's complete bit-packed
-// feature payload — a replica that half-processed the session before
-// dying leaves no state the retry depends on. Non-replica failures
-// (context cancellation, protocol errors from a live replica) are
-// returned immediately.
-func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Duration, frames ...wire.Message) (wire.Message, error) {
+// are safe because the frame carries the session's complete bit-packed
+// feature payload — a replica keeps no state between frames, so one
+// that dies mid-session leaves nothing the retry depends on.
+// Non-replica failures (context cancellation, protocol errors from a live
+// replica) are returned immediately.
+func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Duration, frame wire.Message) (wire.Message, error) {
 	var tried uint64
 	var lastErr error
 	for attempt := 0; attempt < len(p.replicas); attempt++ {
@@ -416,7 +416,7 @@ func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Durati
 			}
 			return nil, err
 		}
-		msg, rerr := p.relayOn(ctx, r, sid, timeout, frames)
+		msg, rerr := p.relayOn(ctx, r, sid, timeout, frame)
 		p.done(r, trial)
 		if rerr == nil {
 			p.reportSuccess(r)
@@ -435,7 +435,7 @@ func (p *ReplicaPool) relay(ctx context.Context, sid uint64, timeout time.Durati
 }
 
 // relayOn performs one escalation attempt against a single replica.
-func (p *ReplicaPool) relayOn(ctx context.Context, r *replica, sid uint64, timeout time.Duration, frames []wire.Message) (wire.Message, error) {
+func (p *ReplicaPool) relayOn(ctx context.Context, r *replica, sid uint64, timeout time.Duration, frame wire.Message) (wire.Message, error) {
 	lk := r.link()
 	if lk == nil {
 		return nil, fmt.Errorf("%w: connection lost", errReplicaUnreachable)
@@ -445,8 +445,8 @@ func (p *ReplicaPool) relayOn(ctx context.Context, r *replica, sid uint64, timeo
 		return nil, fmt.Errorf("%w: %w", errReplicaUnreachable, err)
 	}
 	defer lk.unsubscribe(sid)
-	if err := lk.send(timeout, frames...); err != nil {
-		return nil, fmt.Errorf("%w: relay frames: %w", errReplicaUnreachable, err)
+	if err := lk.send(timeout, frame); err != nil {
+		return nil, fmt.Errorf("%w: relay frame: %w", errReplicaUnreachable, err)
 	}
 	msg, err := lk.wait(ctx, ch, timeout)
 	if err != nil {

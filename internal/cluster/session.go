@@ -8,187 +8,65 @@ import (
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// uploadSession accumulates one escalation session's device feature
-// uploads until every present device's map has arrived. It is shared by
-// cloud replicas (two-tier hierarchies) and edge replicas (three-tier),
-// which receive the same CloudClassify/EdgeClassify + FeatureUpload
-// sequence.
-type uploadSession struct {
-	sampleID uint64
-	allowed  uint16 // mask of devices whose uploads are expected
-	feats    []*tensor.Tensor
-	mask     []bool
-	pending  int
-}
-
-// newUploadSession validates the escalation header against the model
-// configuration and prepares placeholder feature maps for every device,
-// so absent devices contribute zeros to the aggregation exactly as in
-// masked training (§IV-G). The placeholders come from pool (nil pool
-// allocates); release returns them once the session is classified.
-func newUploadSession(cfg core.Config, sampleID uint64, devices, allowed uint16, present int, pool *tensor.Pool) (*uploadSession, error) {
-	if int(devices) != cfg.Devices {
-		return nil, fmt.Errorf("model has %d devices, session says %d", cfg.Devices, devices)
+// unpackEscalation validates an Escalation against the model
+// configuration and unpacks its device-major feature payload into one
+// [N, F, H, W] tensor per device, drawn zero-filled from pool (nil pool
+// allocates): rows of samples a device does not cover stay zero, exactly
+// like the placeholder maps of masked training (§IV-G). The caller
+// returns the tensors to the pool once the session is classified.
+func unpackEscalation(m *core.Model, esc *wire.Escalation, pool *tensor.Pool) ([]*tensor.Tensor, error) {
+	cfg := m.Cfg
+	if int(esc.Devices) != cfg.Devices {
+		return nil, fmt.Errorf("model has %d devices, escalation says %d", cfg.Devices, esc.Devices)
+	}
+	n := len(esc.SampleIDs)
+	if n == 0 {
+		return nil, fmt.Errorf("empty escalation")
+	}
+	if len(esc.Masks) != n {
+		return nil, fmt.Errorf("escalation has %d samples but %d masks", n, len(esc.Masks))
 	}
 	fh, fw := cfg.FeatureH(), cfg.FeatureW()
-	s := &uploadSession{
-		sampleID: sampleID,
-		allowed:  allowed,
-		feats:    make([]*tensor.Tensor, cfg.Devices),
-		mask:     make([]bool, cfg.Devices),
-		pending:  present,
+	if int(esc.F) != cfg.DeviceFilters || int(esc.H) != fh || int(esc.W) != fw {
+		return nil, fmt.Errorf("feature shape %d×%d×%d, model expects %d×%d×%d",
+			esc.F, esc.H, esc.W, cfg.DeviceFilters, fh, fw)
 	}
-	for d := 0; d < cfg.Devices; d++ {
-		s.feats[d] = pool.Get(1, cfg.DeviceFilters, fh, fw)
-	}
-	return s, nil
-}
-
-// add unpacks one device's upload into the session's pre-allocated
-// feature map. It rejects uploads for the wrong sample, from devices
-// outside the announced mask, duplicates, and shape mismatches against
-// the model configuration.
-func (s *uploadSession) add(m *core.Model, up *wire.FeatureUpload) error {
-	if up.SampleID != s.sampleID {
-		return fmt.Errorf("upload for sample %d inside session for sample %d", up.SampleID, s.sampleID)
-	}
-	dev := int(up.Device)
-	if dev < 0 || dev >= len(s.feats) {
-		return fmt.Errorf("upload from unknown device %d", dev)
-	}
-	if s.allowed&(1<<uint(dev)) == 0 || s.mask[dev] {
-		return fmt.Errorf("unexpected upload from device %d", dev)
-	}
-	cfg := m.Cfg
-	if int(up.F) != cfg.DeviceFilters || int(up.H) != cfg.FeatureH() || int(up.W) != cfg.FeatureW() {
-		return fmt.Errorf("device %d feature shape %d×%d×%d, model expects %d×%d×%d",
-			dev, up.F, up.H, up.W, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
-	}
-	if err := m.UnpackFeatureInto(s.feats[dev], 0, up.Bits); err != nil {
-		return fmt.Errorf("unpack device %d: %w", dev, err)
-	}
-	s.mask[dev] = true
-	s.pending--
-	return nil
-}
-
-// complete reports whether every announced upload has arrived.
-func (s *uploadSession) complete() bool { return s.pending == 0 }
-
-// release returns the session's feature maps to the pool.
-func (s *uploadSession) release(pool *tensor.Pool) {
-	for _, f := range s.feats {
-		pool.Put(f)
-	}
-}
-
-// batchUploadSession accumulates one batched escalation session's
-// per-device FeatureBatch frames until every device in the union of the
-// per-sample masks has reported. It is the batched analogue of
-// uploadSession, shared by the cloud (CloudClassifyBatch) and the edge
-// node (EdgeClassifyBatch).
-type batchUploadSession struct {
-	ids   []uint64
-	masks []uint16
-	// feats[d] is the [N, F, H, W] feature tensor of device d; rows of
-	// samples the device does not cover stay zero, exactly like the
-	// placeholder maps of masked per-sample aggregation (§IV-G).
-	feats []*tensor.Tensor
-	got   []bool
-	// pending counts devices in the mask union that have not uploaded.
-	pending int
-}
-
-// newBatchUploadSession validates a batched escalation header against the
-// model configuration and draws the per-device batch tensors from pool
-// (nil pool allocates); release returns them after classification.
-func newBatchUploadSession(cfg core.Config, ids []uint64, devices uint16, masks []uint16, pool *tensor.Pool) (*batchUploadSession, error) {
-	if int(devices) != cfg.Devices {
-		return nil, fmt.Errorf("model has %d devices, session says %d", cfg.Devices, devices)
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("empty batch")
-	}
-	if len(ids) != len(masks) {
-		return nil, fmt.Errorf("batch has %d samples but %d masks", len(ids), len(masks))
-	}
-	var union uint16
-	for _, m := range masks {
-		union |= m
-	}
-	if union == 0 {
-		return nil, fmt.Errorf("empty device mask")
-	}
-	fh, fw := cfg.FeatureH(), cfg.FeatureW()
-	s := &batchUploadSession{
-		ids:   ids,
-		masks: masks,
-		feats: make([]*tensor.Tensor, cfg.Devices),
-		got:   make([]bool, cfg.Devices),
-	}
-	for d := 0; d < cfg.Devices; d++ {
-		s.feats[d] = pool.Get(len(ids), cfg.DeviceFilters, fh, fw)
-		if union&(1<<uint(d)) != 0 {
-			s.pending++
+	for i, mask := range esc.Masks {
+		if mask == 0 {
+			return nil, fmt.Errorf("sample %d has an empty device mask", esc.SampleIDs[i])
+		}
+		if mask>>uint(cfg.Devices) != 0 {
+			return nil, fmt.Errorf("sample %d mask %b names a device beyond %d", esc.SampleIDs[i], mask, cfg.Devices)
 		}
 	}
-	return s, nil
-}
-
-// release returns the session's batch tensors to the pool.
-func (s *batchUploadSession) release(pool *tensor.Pool) {
-	for _, f := range s.feats {
-		pool.Put(f)
+	if want := esc.PresentCount() * esc.SampleBytes(); len(esc.Bits) != want {
+		return nil, fmt.Errorf("escalation has %d feature bytes, masks need %d", len(esc.Bits), want)
 	}
-}
-
-// expectedCount returns how many of the batch's samples device d covers.
-func (s *batchUploadSession) expectedCount(d int) int {
-	c := 0
-	for _, m := range s.masks {
-		if m&(1<<uint(d)) != 0 {
-			c++
+	feats := make([]*tensor.Tensor, cfg.Devices)
+	sb := esc.SampleBytes()
+	off := 0
+	for d := range feats {
+		feats[d] = pool.Get(n, cfg.DeviceFilters, fh, fw)
+		for i, mask := range esc.Masks {
+			if mask&(1<<uint(d)) == 0 {
+				continue
+			}
+			if err := m.UnpackFeatureInto(feats[d], i, esc.Bits[off:off+sb]); err != nil {
+				releaseAll(feats[:d+1], pool)
+				return nil, fmt.Errorf("unpack device %d sample %d: %w", d, esc.SampleIDs[i], err)
+			}
+			off += sb
 		}
 	}
-	return c
+	return feats, nil
 }
 
-// add unpacks one device's FeatureBatch into the session: sample k of the
-// frame fills the k-th batch row the device covers, in batch order.
-func (s *batchUploadSession) add(m *core.Model, fb *wire.FeatureBatch) error {
-	d := int(fb.Device)
-	if d < 0 || d >= len(s.feats) {
-		return fmt.Errorf("feature batch from unknown device %d", d)
+// releaseAll returns tensors to the pool.
+func releaseAll(ts []*tensor.Tensor, pool *tensor.Pool) {
+	for _, t := range ts {
+		pool.Put(t)
 	}
-	want := s.expectedCount(d)
-	if want == 0 || s.got[d] {
-		return fmt.Errorf("unexpected feature batch from device %d", d)
-	}
-	if int(fb.Count) != want {
-		return fmt.Errorf("device %d sent %d feature maps, mask expects %d", d, fb.Count, want)
-	}
-	cfg := m.Cfg
-	if int(fb.F) != cfg.DeviceFilters || int(fb.H) != cfg.FeatureH() || int(fb.W) != cfg.FeatureW() {
-		return fmt.Errorf("device %d feature shape %d×%d×%d, model expects %d×%d×%d",
-			d, fb.F, fb.H, fb.W, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW())
-	}
-	k := 0
-	for i, mask := range s.masks {
-		if mask&(1<<uint(d)) == 0 {
-			continue
-		}
-		if err := m.UnpackFeatureInto(s.feats[d], i, fb.Sample(k)); err != nil {
-			return fmt.Errorf("unpack device %d sample %d: %w", d, i, err)
-		}
-		k++
-	}
-	s.got[d] = true
-	s.pending--
-	return nil
 }
-
-// complete reports whether every expected device upload has arrived.
-func (s *batchUploadSession) complete() bool { return s.pending == 0 }
 
 // selectGroup gathers a mask group's batch rows from each per-device
 // tensor into pool-backed sub-batches. When the group spans the whole
@@ -230,41 +108,42 @@ type maskGroup struct {
 	present []bool
 }
 
-// groupByMask splits batch positions by device-presence mask. Group order
-// is first-appearance order; the common all-devices-up case yields a
-// single group spanning the whole batch.
+// groupByMask splits batch positions (at least one) by device-presence
+// mask. Group order is first-appearance order; the common all-devices-up
+// case — every sample sharing one mask — yields a single group spanning
+// the batch without building a lookup map.
 func groupByMask(masks []uint16, devices int) []maskGroup {
-	var groups []maskGroup
-	at := make(map[uint16]int)
+	groups := []maskGroup{{mask: masks[0], indices: make([]int, 0, len(masks)), present: presentOf(masks[0], devices)}}
+	var at map[uint16]int // built once a second mask appears
 	for i, m := range masks {
-		gi, ok := at[m]
-		if !ok {
-			present := make([]bool, devices)
-			for d := 0; d < devices; d++ {
-				present[d] = m&(1<<uint(d)) != 0
+		gi := 0
+		if m != groups[0].mask {
+			if at == nil {
+				at = map[uint16]int{groups[0].mask: 0}
 			}
-			gi = len(groups)
-			at[m] = gi
-			groups = append(groups, maskGroup{mask: m, present: present})
+			var ok bool
+			if gi, ok = at[m]; !ok {
+				gi = len(groups)
+				at[m] = gi
+				groups = append(groups, maskGroup{mask: m, present: presentOf(m, devices)})
+			}
 		}
 		groups[gi].indices = append(groups[gi].indices, i)
 	}
 	return groups
 }
 
-// maskOf packs per-device presence booleans into a wire bitmask.
-func maskOf(present []bool) uint16 {
-	var m uint16
-	for d, p := range present {
-		if p {
-			m |= 1 << uint(d)
-		}
+// presentOf expands a wire device mask to per-device booleans.
+func presentOf(mask uint16, devices int) []bool {
+	present := make([]bool, devices)
+	for d := range present {
+		present[d] = mask&(1<<uint(d)) != 0
 	}
-	return m
+	return present
 }
 
 // verdictRow assembles one sample's BatchVerdict from row k of a softmax
-// probability tensor — the shared tail of every tier's batched classify.
+// probability tensor — the shared tail of every tier's classify.
 func verdictRow(probs *tensor.Tensor, k int, id uint64, exit wire.ExitPoint) wire.BatchVerdict {
 	row := make([]float32, probs.Dim(1))
 	copy(row, probs.Row(k))

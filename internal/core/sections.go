@@ -121,6 +121,13 @@ func (m *Model) PackFeatureSample(feat *tensor.Tensor, i int) []byte {
 	return bnn.PackSignsSample(feat, i)
 }
 
+// PackFeatureSampleInto is PackFeatureSample writing into dst, which must
+// be zeroed and exactly one sample's packed size, so a session can pack
+// every sample of an upload into one buffer.
+func (m *Model) PackFeatureSampleInto(dst []byte, feat *tensor.Tensor, i int) {
+	bnn.PackSignsSampleInto(dst, feat, i)
+}
+
 // UnpackFeatureInto reverses PackFeatureSample into sample row i of a
 // pre-allocated batched ±1 tensor.
 func (m *Model) UnpackFeatureInto(dst *tensor.Tensor, i int, bits []byte) error {

@@ -20,7 +20,7 @@ import (
 type ServingPoint struct {
 	// Concurrency is the number of in-flight sessions.
 	Concurrency int
-	// Batch is the micro-batch size; 1 means per-sample sessions.
+	// Batch is the micro-batch size; 1 means one-sample sessions.
 	Batch int
 	// Samples classified during the measurement.
 	Samples int

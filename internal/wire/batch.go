@@ -8,15 +8,15 @@ import (
 )
 
 // MaxDevices is the largest device count the protocol can describe: the
-// present-device masks of CloudClassify, EdgeClassify and the batched
-// classify headers are uint16 bitmasks, so device indices above 15 would
-// silently alias (1 << d overflows and corrupts the mask). Hierarchies
-// with more devices must be rejected before any session opens; the
-// cluster runtime does so at gateway construction time.
+// per-sample device masks of an Escalation are uint16 bitmasks, so device
+// indices above 15 would silently alias (1 << d overflows and corrupts
+// the mask). Hierarchies with more devices must be rejected before any
+// session opens; the cluster runtime does so at gateway construction
+// time.
 const MaxDevices = 16
 
-// MaxBatch is the largest number of samples one batched session may
-// carry; batch frame counts are encoded as uint16.
+// MaxBatch is the largest number of samples one session may carry;
+// batch frame counts are encoded as uint16.
 const MaxBatch = 1<<16 - 1
 
 // appendSampleIDs encodes a uint16 count followed by the IDs.
@@ -57,20 +57,9 @@ func PackPresent(present []bool) []byte {
 	return out
 }
 
-// UnpackPresent expands a PackPresent bitmask back to n booleans.
-func UnpackPresent(packed []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		if i/8 < len(packed) && packed[i/8]&(1<<uint(i%8)) != 0 {
-			out[i] = true
-		}
-	}
-	return out
-}
-
-// CaptureBatch asks a device to process its sensor frames for a whole
-// micro-batch of samples in one forward pass and reply with a
-// SummaryBatch. It is the batched analogue of CaptureRequest.
+// CaptureBatch asks a device to process its sensor frames for a session's
+// samples in one forward pass and reply with a SummaryBatch. A
+// single-sample session sends a batch of one.
 type CaptureBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
@@ -114,7 +103,7 @@ func (m *CaptureBatch) decodePayload(src []byte) error {
 // set when the device produced a summary for the batch's i-th sample
 // (absent frames — feed errors — clear the bit), and Probs holds exactly
 // popcount(Present)·Classes float32 values. Each present row charges the
-// same 4·|C| bytes of Eq. (1) as an unbatched LocalSummary.
+// 4·|C| bytes of Eq. (1)'s class summary.
 type SummaryBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
@@ -125,7 +114,8 @@ type SummaryBatch struct {
 	// Count is the batch length (the number of samples in the
 	// CaptureBatch this answers).
 	Count uint16
-	// Present is the PackPresent bitmask over batch positions.
+	// Present is the PackPresent bitmask over batch positions. Decoding
+	// aliases it into the frame's payload buffer.
 	Present []byte
 	// Probs holds the summary rows of present samples, batch order.
 	Probs []float32
@@ -136,6 +126,11 @@ func (*SummaryBatch) MsgType() MsgType { return TypeSummaryBatch }
 
 // SessionID implements Sessioned.
 func (m *SummaryBatch) SessionID() uint64 { return m.Session }
+
+// Has reports whether batch position i carries a summary row.
+func (m *SummaryBatch) Has(i int) bool {
+	return i/8 < len(m.Present) && m.Present[i/8]&(1<<uint(i%8)) != 0
+}
 
 // PresentCount returns the number of samples with a summary row.
 func (m *SummaryBatch) PresentCount() int {
@@ -171,7 +166,7 @@ func (m *SummaryBatch) decodePayload(src []byte) error {
 	if len(src) < pb {
 		return ErrShortPayload
 	}
-	m.Present = append([]byte(nil), src[:pb]...)
+	m.Present = src[:pb:pb]
 	src = src[pb:]
 	n := m.PresentCount() * int(m.Classes)
 	if len(src) != 4*n {
@@ -225,12 +220,10 @@ func (m *FeatureBatchRequest) decodePayload(src []byte) error {
 	return nil
 }
 
-// FeatureBatch carries one device's bit-packed binarized feature maps for
-// Count samples: Count independent PackFeature payloads of (F·H·W+7)/8
-// bytes each, concatenated in the order of the request (FeatureBatchRequest
-// on the device uplink, the batched classify header's per-sample masks on
-// the relay upstream). Each sample charges the same f·o/8 bytes of Eq. (1)
-// as an unbatched FeatureUpload.
+// FeatureBatch is a device's reply to a FeatureBatchRequest: its
+// bit-packed binarized feature maps for Count samples, Count independent
+// PackFeature payloads of (F·H·W+7)/8 bytes each, concatenated in request
+// order. Each sample charges the f·o/8 bytes of Eq. (1)'s feature upload.
 type FeatureBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
@@ -240,7 +233,8 @@ type FeatureBatch struct {
 	F, H, W uint16
 	// Count is the number of samples in the batch.
 	Count uint16
-	// Bits is the LSB-first bit-packed binarized feature payload.
+	// Bits is the LSB-first bit-packed binarized feature payload. Decoding
+	// aliases it into the frame's payload buffer.
 	Bits []byte
 }
 
@@ -287,38 +281,11 @@ func (m *FeatureBatch) decodePayload(src []byte) error {
 		return fmt.Errorf("wire: feature batch has %d bytes for %d samples of %d×%d×%d bits (want %d)",
 			len(src), m.Count, m.F, m.H, m.W, want)
 	}
-	m.Bits = append([]byte(nil), src...)
+	m.Bits = src
 	return nil
 }
 
-// CloudClassifyBatch opens a batched cloud classification session: it
-// lists the escalating samples and, per sample, the bitmask of devices
-// whose features follow (masks may differ across samples — a device can
-// drop out mid-batch). The gateway then relays one FeatureBatch per
-// device in the union of the masks, each carrying that device's present
-// samples in batch order, and the cloud answers with a single
-// ResultBatch.
-type CloudClassifyBatch struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// ModelVersion pins the session's weights; 0 means the active version.
-	ModelVersion uint64
-	// Devices is the total device count in the hierarchy.
-	Devices uint16
-	// SampleIDs lists the escalating samples, batch order.
-	SampleIDs []uint64
-	// Masks[i] has bit d set when device d's features cover sample i.
-	Masks []uint16
-}
-
-// MsgType implements Message.
-func (*CloudClassifyBatch) MsgType() MsgType { return TypeCloudClassifyBatch }
-
-// SessionID implements Sessioned.
-func (m *CloudClassifyBatch) SessionID() uint64 { return m.Session }
-
-// appendIDMaskPairs encodes the shared (count, ids, masks) tail of the
-// batched classify headers.
+// appendIDMaskPairs encodes a uint16 count followed by (id, mask) pairs.
 func appendIDMaskPairs(dst []byte, ids []uint64, masks []uint16) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ids)))
 	for i, id := range ids {
@@ -328,6 +295,7 @@ func appendIDMaskPairs(dst []byte, ids []uint64, masks []uint16) []byte {
 	return dst
 }
 
+// readIDMaskPairs decodes an appendIDMaskPairs list, returning the rest.
 func readIDMaskPairs(src []byte) ([]uint64, []uint16, []byte, error) {
 	if len(src) < 2 {
 		return nil, nil, nil, ErrShortPayload
@@ -346,79 +314,95 @@ func readIDMaskPairs(src []byte) ([]uint64, []uint16, []byte, error) {
 	return ids, masks, src[10*n:], nil
 }
 
-func (m *CloudClassifyBatch) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
-	return appendIDMaskPairs(dst, m.SampleIDs, m.Masks)
-}
-
-func (m *CloudClassifyBatch) decodePayload(src []byte) error {
-	if len(src) < 18 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	m.Devices = binary.LittleEndian.Uint16(src[16:18])
-	ids, masks, rest, err := readIDMaskPairs(src[18:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrShortPayload
-	}
-	m.SampleIDs, m.Masks = ids, masks
-	return nil
-}
-
-// EdgeClassifyBatch opens a batched edge classification session: the
-// batched analogue of EdgeClassify, carrying per-sample device masks like
-// CloudClassifyBatch plus the remaining pipeline thresholds (nearest tier
-// first). The edge answers the whole batch with one ResultBatch; samples
-// confident at the edge exit carry ExitEdge, the rest ride an
-// EdgeFeatureBatch to the cloud and come back with its verdicts.
-type EdgeClassifyBatch struct {
+// Escalation is the one frame of the gateway's upstream hop: it carries
+// a session's hard samples — the ones that missed the local exit — to a
+// replica of the next tier, an edge node in a three-tier hierarchy or the
+// cloud in a two-tier one, which answers with a single ResultBatch in
+// SampleIDs order.
+//
+// Masks[i] has bit d set when device d's feature map covers sample i
+// (masks may differ across samples: a device can drop out mid-session).
+// Bits holds every covered map, device-major: device d's maps of the
+// samples it covers in batch order, then device d+1's, each a
+// PackFeature payload of (F·H·W+7)/8 bytes — the f·o/8 bytes of Eq. (1)'s
+// feature upload per device and sample. Because the frame is the whole
+// escalation, a receiver keeps no per-session state between frames and a
+// replica pool can re-send it verbatim to another replica. Decoding checks
+// the framing only: whether Bits holds PresentCount maps of the announced
+// shape is the receiver's check, so a malformed escalation earns a typed
+// error reply on a connection that stays usable.
+type Escalation struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
 	// ModelVersion pins the session's weights; 0 means the active version.
 	ModelVersion uint64
 	// Devices is the total device count in the hierarchy.
 	Devices uint16
+	// F, H, W give each device feature map's shape: filters × height × width.
+	F, H, W uint16
 	// SampleIDs lists the escalating samples, batch order.
 	SampleIDs []uint64
 	// Masks[i] has bit d set when device d's features cover sample i.
 	Masks []uint16
-	// Thresholds holds the remaining exit thresholds, nearest tier first,
-	// at full float64 precision (see EdgeClassify).
+	// Thresholds holds the remaining normalized-entropy exit thresholds,
+	// nearest tier first, at full float64 precision so distributed exit
+	// decisions are bit-identical to in-process staged inference: an edge
+	// consumes Thresholds[0] as its own exit criterion (an empty list
+	// means it never exits). It is empty on the two-tier hop, where the
+	// cloud always classifies.
 	Thresholds []float64
+	// Bits is the device-major packed feature payload. Decoding aliases
+	// it into the frame's payload buffer.
+	Bits []byte
 }
 
 // MsgType implements Message.
-func (*EdgeClassifyBatch) MsgType() MsgType { return TypeEdgeClassifyBatch }
+func (*Escalation) MsgType() MsgType { return TypeEscalation }
 
 // SessionID implements Sessioned.
-func (m *EdgeClassifyBatch) SessionID() uint64 { return m.Session }
+func (m *Escalation) SessionID() uint64 { return m.Session }
 
-func (m *EdgeClassifyBatch) appendPayload(dst []byte) []byte {
+// SampleBytes returns the packed size of one device feature map.
+func (m *Escalation) SampleBytes() int {
+	return (int(m.F)*int(m.H)*int(m.W) + 7) / 8
+}
+
+// PresentCount returns the number of device feature maps the frame
+// carries: the popcounts of the sample masks, summed.
+func (m *Escalation) PresentCount() int {
+	c := 0
+	for _, mask := range m.Masks {
+		c += bits.OnesCount16(mask)
+	}
+	return c
+}
+
+func (m *Escalation) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
+	dst = binary.LittleEndian.AppendUint16(dst, m.F)
+	dst = binary.LittleEndian.AppendUint16(dst, m.H)
+	dst = binary.LittleEndian.AppendUint16(dst, m.W)
 	dst = appendIDMaskPairs(dst, m.SampleIDs, m.Masks)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Thresholds)))
 	for _, t := range m.Thresholds {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t))
 	}
-	return dst
+	return append(dst, m.Bits...)
 }
 
-func (m *EdgeClassifyBatch) decodePayload(src []byte) error {
-	if len(src) < 18 {
+func (m *Escalation) decodePayload(src []byte) error {
+	if len(src) < 24 {
 		return ErrShortPayload
 	}
 	m.Session = binary.LittleEndian.Uint64(src[0:8])
 	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
 	m.Devices = binary.LittleEndian.Uint16(src[16:18])
-	ids, masks, rest, err := readIDMaskPairs(src[18:])
+	m.F = binary.LittleEndian.Uint16(src[18:20])
+	m.H = binary.LittleEndian.Uint16(src[20:22])
+	m.W = binary.LittleEndian.Uint16(src[22:24])
+	ids, masks, rest, err := readIDMaskPairs(src[24:])
 	if err != nil {
 		return err
 	}
@@ -427,20 +411,23 @@ func (m *EdgeClassifyBatch) decodePayload(src []byte) error {
 	}
 	n := int(binary.LittleEndian.Uint16(rest[0:2]))
 	rest = rest[2:]
-	if len(rest) != 8*n {
+	if len(rest) < 8*n {
 		return ErrShortPayload
 	}
-	m.Thresholds = make([]float64, n)
-	for i := range m.Thresholds {
-		m.Thresholds[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+	var ts []float64
+	if n > 0 {
+		ts = make([]float64, n)
+		for i := range ts {
+			ts[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+		}
 	}
-	m.SampleIDs, m.Masks = ids, masks
+	m.SampleIDs, m.Masks, m.Thresholds = ids, masks, ts
+	m.Bits = rest[8*n:]
 	return nil
 }
 
 // EdgeFeatureBatch carries the bit-packed edge feature maps of the
-// samples that missed the edge exit — the batched analogue of
-// EdgeFeature. Bits concatenates one PackFeature payload of (F·H·W+7)/8
+// samples that missed the edge exit. Bits concatenates one PackFeature payload of (F·H·W+7)/8
 // bytes per sample, in SampleIDs order. The cloud answers with one
 // ResultBatch.
 type EdgeFeatureBatch struct {
@@ -452,7 +439,8 @@ type EdgeFeatureBatch struct {
 	F, H, W uint16
 	// SampleIDs lists the batch's samples, in batch order.
 	SampleIDs []uint64
-	// Bits is the LSB-first bit-packed binarized feature payload.
+	// Bits is the LSB-first bit-packed binarized feature payload. Decoding
+	// aliases it into the frame's payload buffer.
 	Bits []byte
 }
 
@@ -502,7 +490,7 @@ func (m *EdgeFeatureBatch) decodePayload(src []byte) error {
 			len(rest), len(ids), m.F, m.H, m.W, want)
 	}
 	m.SampleIDs = ids
-	m.Bits = append([]byte(nil), rest...)
+	m.Bits = rest
 	return nil
 }
 
@@ -518,9 +506,8 @@ type BatchVerdict struct {
 	Probs []float32
 }
 
-// ResultBatch reports the per-sample verdicts of one batched
-// classification session in a single frame — the batched analogue of
-// ClassifyResult. Verdicts may carry different exits: in a three-tier
+// ResultBatch reports the per-sample verdicts of one classification
+// session in a single frame. Verdicts may carry different exits: in a three-tier
 // hierarchy the edge answers its confident samples at ExitEdge and relays
 // cloud verdicts for the rest.
 type ResultBatch struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -18,28 +19,38 @@ func encodeFrame(tb testing.TB, m Message) []byte {
 }
 
 // seedMessages covers every message type of the protocol, so the fuzz
-// corpus starts from one valid frame per decoder path.
+// corpus starts from one valid frame per decoder path: each batch frame
+// appears as a batch of one — the shape every single-sample session
+// takes — and as a multi-sample batch. gen_corpus.go mirrors this list
+// into the committed seed corpus.
 func seedMessages() []Message {
 	return []Message{
 		&Hello{NodeID: "device-3", Role: RoleDevice, Device: 3},
-		&LocalSummary{Session: 17, SampleID: 42, Device: 1, Probs: []float32{0.1, 0.7, 0.2}},
-		&FeatureRequest{Session: 3, SampleID: 99, ModelVersion: 2},
-		&FeatureUpload{Session: 9, SampleID: 7, Device: 2, F: 4, H: 16, W: 16, Bits: make([]byte, 4*16*16/8)},
-		&ClassifyResult{Session: 1 << 40, SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.05, 0.05, 0.9}},
+		&SummaryBatch{Session: 17, Device: 1, Classes: 3, Count: 1,
+			Present: PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}},
+		&FeatureBatchRequest{Session: 3, ModelVersion: 2, SampleIDs: []uint64{99}},
+		&FeatureBatch{Session: 9, Device: 2, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)},
+		&ResultBatch{Session: 1 << 40, Verdicts: []BatchVerdict{
+			{SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.05, 0.05, 0.9}},
+		}},
 		&Heartbeat{NodeID: "edge-0", Seq: 12345},
 		&Error{Session: 12, Code: 404, Msg: "no such sample"},
-		&CaptureRequest{Session: 2, SampleID: 31337, ModelVersion: 1},
-		&CloudClassify{Session: 6, SampleID: 8, ModelVersion: 3, Devices: 6, Mask: 0b101101},
-		&EdgeClassify{Session: 11, SampleID: 9, ModelVersion: 4, Devices: 6, Mask: 0b011011, Thresholds: []float64{0.8, 0.5}},
-		&EdgeFeature{Session: 13, SampleID: 21, ModelVersion: 5, F: 8, H: 8, W: 8, Bits: make([]byte, 64)},
+		&CaptureBatch{Session: 2, ModelVersion: 1, SampleIDs: []uint64{31337}},
+		&Escalation{Session: 6, ModelVersion: 3, Devices: 6, F: 4, H: 16, W: 16,
+			SampleIDs: []uint64{8}, Masks: []uint16{0b101101}, Bits: make([]byte, 4*128)},
+		&Escalation{Session: 11, ModelVersion: 4, Devices: 6, F: 4, H: 16, W: 16,
+			SampleIDs: []uint64{9}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 4*128)},
+		&EdgeFeatureBatch{Session: 13, ModelVersion: 5, F: 8, H: 8, W: 8, SampleIDs: []uint64{21}, Bits: make([]byte, 64)},
 		&CaptureBatch{Session: 14, ModelVersion: 2, SampleIDs: []uint64{3, 1, 4}},
 		&SummaryBatch{Session: 15, Device: 2, Classes: 3, Count: 3,
 			Present: PackPresent([]bool{true, false, true}),
 			Probs:   []float32{0.1, 0.7, 0.2, 0.9, 0.05, 0.05}},
 		&FeatureBatchRequest{Session: 16, ModelVersion: 2, SampleIDs: []uint64{7, 9}},
 		&FeatureBatch{Session: 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 256)},
-		&CloudClassifyBatch{Session: 18, ModelVersion: 6, Devices: 6, SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b101101}},
-		&EdgeClassifyBatch{Session: 19, ModelVersion: 7, Devices: 6, SampleIDs: []uint64{5}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8, 0.5}},
+		&Escalation{Session: 18, ModelVersion: 6, Devices: 6, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b101101}, Bits: make([]byte, 10*2)},
+		&Escalation{Session: 19, ModelVersion: 7, Devices: 6, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{5, 7}, Masks: []uint16{0b011011, 0b000001}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 5*2)},
 		&EdgeFeatureBatch{Session: 20, ModelVersion: 8, F: 8, H: 8, W: 8, SampleIDs: []uint64{11, 12}, Bits: make([]byte, 128)},
 		&ResultBatch{Session: 21, Verdicts: []BatchVerdict{
 			{SampleID: 5, Exit: ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
@@ -155,38 +166,34 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 	}
 	// Model version pinning rides every session-opening frame.
 	mv := session ^ sample
-	switch kind % 22 {
-	case 0:
-		return &Hello{NodeID: s, Role: Role(a), Device: b}
-	case 1:
-		return &LocalSummary{Session: session, SampleID: sample, Device: a, Probs: probs}
-	case 2:
-		return &FeatureRequest{Session: session, SampleID: sample, ModelVersion: mv}
-	case 3:
-		fDim, h, w, bits := shape(a, b)
-		return &FeatureUpload{Session: session, SampleID: sample, Device: b, F: fDim, H: h, W: w, Bits: bits}
-	case 4:
-		return &ClassifyResult{Session: session, SampleID: sample, Exit: ExitPoint(a), Class: b, Probs: probs}
-	case 5:
-		return &Heartbeat{NodeID: s, Seq: session}
-	case 6:
-		return &Error{Session: session, Code: a, Msg: s}
-	case 7:
-		return &CaptureRequest{Session: session, SampleID: sample, ModelVersion: mv}
-	case 8:
-		return &CloudClassify{Session: session, SampleID: sample, ModelVersion: mv, Devices: a, Mask: b}
-	case 9:
+	thresholds := func() []float64 {
 		ts := make([]float64, len(blob)/8%16)
 		for i := range ts {
 			ts[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8*i:]))
 		}
-		return &EdgeClassify{Session: session, SampleID: sample, ModelVersion: mv, Devices: a, Mask: b, Thresholds: ts}
-	case 10:
-		fDim, h, w, bits := shape(b, a)
-		return &EdgeFeature{Session: session, SampleID: sample, ModelVersion: mv, F: fDim, H: h, W: w, Bits: bits}
-	case 11:
+		if len(ts) == 0 {
+			return nil // the decoder yields nil for an empty list
+		}
+		return ts
+	}
+	switch kind % 13 {
+	case 0:
+		return &Hello{NodeID: s, Role: Role(a), Device: b}
+	case 1:
 		return &CaptureBatch{Session: session, ModelVersion: mv, SampleIDs: ids}
-	case 12:
+	case 2:
+		fDim, h, w, one := shape(a, b)
+		feats := 0
+		for _, m := range masks {
+			feats += bits.OnesCount16(m)
+		}
+		all := make([]byte, 0, feats*len(one))
+		for i := 0; i < feats; i++ {
+			all = append(all, one...)
+		}
+		return &Escalation{Session: session, ModelVersion: mv, Devices: a, F: fDim, H: h, W: w,
+			SampleIDs: ids, Masks: masks, Thresholds: thresholds(), Bits: all}
+	case 3:
 		classes := int(b%4) + 1
 		count := int(a % 8)
 		present := make([]bool, count)
@@ -203,9 +210,30 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 		}
 		return &SummaryBatch{Session: session, Device: a, Classes: uint16(classes),
 			Count: uint16(count), Present: PackPresent(present), Probs: sProbs}
-	case 13:
+	case 4:
+		fDim, h, w, one := shape(b, a)
+		bits := make([]byte, 0, len(ids)*len(one))
+		for range ids {
+			bits = append(bits, one...)
+		}
+		return &EdgeFeatureBatch{Session: session, ModelVersion: mv, F: fDim, H: h, W: w, SampleIDs: ids, Bits: bits}
+	case 5:
+		return &Heartbeat{NodeID: s, Seq: session}
+	case 6:
+		return &Error{Session: session, Code: a, Msg: s}
+	case 7:
+		tenant := ""
+		if len(blob) > 0 {
+			tenant = s[:len(s)/2]
+		}
+		return &DeviceHello{NodeID: s, Slot: a, Tenant: tenant, Addr: s}
+	case 8:
+		return &DeviceWelcome{Slot: a, Devices: b, ConfigVersion: session}
+	case 9:
+		return &DeviceGoodbye{NodeID: s, Slot: b, Reason: s}
+	case 10:
 		return &FeatureBatchRequest{Session: session, ModelVersion: mv, SampleIDs: ids}
-	case 14:
+	case 11:
 		fDim, h, w, one := shape(a, b)
 		count := int(b % 4)
 		bits := make([]byte, 0, count*len(one))
@@ -213,31 +241,6 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 			bits = append(bits, one...)
 		}
 		return &FeatureBatch{Session: session, Device: b, F: fDim, H: h, W: w, Count: uint16(count), Bits: bits}
-	case 15:
-		return &CloudClassifyBatch{Session: session, ModelVersion: mv, Devices: a, SampleIDs: ids, Masks: masks}
-	case 16:
-		ts := make([]float64, len(blob)/8%16)
-		for i := range ts {
-			ts[i] = math.Float64frombits(binary.LittleEndian.Uint64(blob[8*i:]))
-		}
-		return &EdgeClassifyBatch{Session: session, ModelVersion: mv, Devices: a, SampleIDs: ids, Masks: masks, Thresholds: ts}
-	case 17:
-		fDim, h, w, one := shape(b, a)
-		bits := make([]byte, 0, len(ids)*len(one))
-		for range ids {
-			bits = append(bits, one...)
-		}
-		return &EdgeFeatureBatch{Session: session, ModelVersion: mv, F: fDim, H: h, W: w, SampleIDs: ids, Bits: bits}
-	case 19:
-		tenant := ""
-		if len(blob) > 0 {
-			tenant = s[:len(s)/2]
-		}
-		return &DeviceHello{NodeID: s, Slot: a, Tenant: tenant, Addr: s}
-	case 20:
-		return &DeviceWelcome{Slot: a, Devices: b, ConfigVersion: session}
-	case 21:
-		return &DeviceGoodbye{NodeID: s, Slot: b, Reason: s}
 	default:
 		vs := make([]BatchVerdict, len(ids))
 		for i := range vs {

@@ -3,8 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"math/bits"
 )
 
 // Role identifies a node's position in the distributed computing
@@ -68,147 +66,9 @@ func (m *Hello) decodePayload(src []byte) error {
 	return nil
 }
 
-// LocalSummary is the per-sample class-probability vector a device sends to
-// the local aggregator. Its payload charges exactly 4 bytes per class, the
-// first term of Eq. (1).
-type LocalSummary struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// Device is the sending device's index.
-	Device uint16
-	// Probs holds the per-class probabilities.
-	Probs []float32
-}
-
-// MsgType implements Message.
-func (*LocalSummary) MsgType() MsgType { return TypeLocalSummary }
-
-// SessionID implements Sessioned.
-func (m *LocalSummary) SessionID() uint64 { return m.Session }
-
-func (m *LocalSummary) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Probs)))
-	for _, p := range m.Probs {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p))
-	}
-	return dst
-}
-
-func (m *LocalSummary) decodePayload(src []byte) error {
-	if len(src) < 20 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.Device = binary.LittleEndian.Uint16(src[16:18])
-	n := int(binary.LittleEndian.Uint16(src[18:20]))
-	src = src[20:]
-	if len(src) != 4*n {
-		return ErrShortPayload
-	}
-	m.Probs = make([]float32, n)
-	for i := range m.Probs {
-		m.Probs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return nil
-}
-
-// SummaryPayloadBytes returns the Eq. (1) accounting charge of a summary:
-// 4·|C| bytes, excluding framing overhead.
+// SummaryPayloadBytes returns the Eq. (1) accounting charge of one
+// sample's class summary: 4·|C| bytes, excluding framing overhead.
 func SummaryPayloadBytes(classes int) int { return 4 * classes }
-
-// FeatureRequest asks a device to upload its binarized feature map for a
-// session that missed the local exit.
-type FeatureRequest struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// ModelVersion pins the session's weights; 0 means the active version.
-	ModelVersion uint64
-}
-
-// MsgType implements Message.
-func (*FeatureRequest) MsgType() MsgType { return TypeFeatureRequest }
-
-// SessionID implements Sessioned.
-func (m *FeatureRequest) SessionID() uint64 { return m.Session }
-
-func (m *FeatureRequest) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	return binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-}
-
-func (m *FeatureRequest) decodePayload(src []byte) error {
-	if len(src) != 24 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	return nil
-}
-
-// FeatureUpload carries a device's bit-packed binarized feature map: f
-// filters of h×w bits each, f·h·w/8 bytes — the second term of Eq. (1).
-type FeatureUpload struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// Device is the sending device's index.
-	Device uint16
-	// F, H, W give the packed feature map's shape: filters × height × width.
-	F, H, W uint16
-	// Bits is the LSB-first bit-packed binarized feature payload.
-	Bits []byte
-}
-
-// MsgType implements Message.
-func (*FeatureUpload) MsgType() MsgType { return TypeFeatureUpload }
-
-// SessionID implements Sessioned.
-func (m *FeatureUpload) SessionID() uint64 { return m.Session }
-
-func (m *FeatureUpload) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
-	dst = binary.LittleEndian.AppendUint16(dst, m.F)
-	dst = binary.LittleEndian.AppendUint16(dst, m.H)
-	dst = binary.LittleEndian.AppendUint16(dst, m.W)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Bits)))
-	return append(dst, m.Bits...)
-}
-
-func (m *FeatureUpload) decodePayload(src []byte) error {
-	if len(src) < 28 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.Device = binary.LittleEndian.Uint16(src[16:18])
-	m.F = binary.LittleEndian.Uint16(src[18:20])
-	m.H = binary.LittleEndian.Uint16(src[20:22])
-	m.W = binary.LittleEndian.Uint16(src[22:24])
-	n := int(binary.LittleEndian.Uint32(src[24:28]))
-	src = src[28:]
-	if len(src) != n {
-		return ErrShortPayload
-	}
-	want := (int(m.F)*int(m.H)*int(m.W) + 7) / 8
-	if n != want {
-		return fmt.Errorf("wire: feature upload has %d bytes for %d×%d×%d bits (want %d)", n, m.F, m.H, m.W, want)
-	}
-	m.Bits = append([]byte(nil), src...)
-	return nil
-}
 
 // ExitPoint identifies where a sample was classified.
 type ExitPoint uint8
@@ -232,58 +92,6 @@ func (e ExitPoint) String() string {
 	default:
 		return fmt.Sprintf("ExitPoint(%d)", uint8(e))
 	}
-}
-
-// ClassifyResult reports the classification of a sample.
-type ClassifyResult struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// Exit names the tier that produced the verdict.
-	Exit ExitPoint
-	// Class is the predicted class index.
-	Class uint16
-	// Probs holds the per-class probabilities.
-	Probs []float32
-}
-
-// MsgType implements Message.
-func (*ClassifyResult) MsgType() MsgType { return TypeClassifyResult }
-
-// SessionID implements Sessioned.
-func (m *ClassifyResult) SessionID() uint64 { return m.Session }
-
-func (m *ClassifyResult) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	dst = append(dst, byte(m.Exit))
-	dst = binary.LittleEndian.AppendUint16(dst, m.Class)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Probs)))
-	for _, p := range m.Probs {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p))
-	}
-	return dst
-}
-
-func (m *ClassifyResult) decodePayload(src []byte) error {
-	if len(src) < 21 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.Exit = ExitPoint(src[16])
-	m.Class = binary.LittleEndian.Uint16(src[17:19])
-	n := int(binary.LittleEndian.Uint16(src[19:21]))
-	src = src[21:]
-	if len(src) != 4*n {
-		return ErrShortPayload
-	}
-	m.Probs = make([]float32, n)
-	for i := range m.Probs {
-		m.Probs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return nil
 }
 
 // Heartbeat is the liveness signal for failure detection.
@@ -353,217 +161,6 @@ func (m *Error) decodePayload(src []byte) error {
 		return ErrShortPayload
 	}
 	m.Msg = s
-	return nil
-}
-
-// CaptureRequest asks a device to process its sensor frame for a sample
-// and reply with a LocalSummary.
-type CaptureRequest struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// ModelVersion pins the session's weights; 0 means the active version.
-	ModelVersion uint64
-}
-
-// MsgType implements Message.
-func (*CaptureRequest) MsgType() MsgType { return TypeCaptureRequest }
-
-// SessionID implements Sessioned.
-func (m *CaptureRequest) SessionID() uint64 { return m.Session }
-
-func (m *CaptureRequest) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	return binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-}
-
-func (m *CaptureRequest) decodePayload(src []byte) error {
-	if len(src) != 24 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	return nil
-}
-
-// CloudClassify opens a cloud classification session for a sample: it
-// announces which devices are present (bitmask), after which the gateway
-// relays exactly popcount(Mask) FeatureUploads and the cloud replies with a
-// ClassifyResult.
-type CloudClassify struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// ModelVersion pins the session's weights; 0 means the active version.
-	ModelVersion uint64
-	// Devices is the total device count in the hierarchy.
-	Devices uint16
-	// Mask has bit d set when device d's features follow.
-	Mask uint16
-}
-
-// MsgType implements Message.
-func (*CloudClassify) MsgType() MsgType { return TypeCloudClassify }
-
-// SessionID implements Sessioned.
-func (m *CloudClassify) SessionID() uint64 { return m.Session }
-
-func (m *CloudClassify) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
-	return binary.LittleEndian.AppendUint16(dst, m.Mask)
-}
-
-func (m *CloudClassify) decodePayload(src []byte) error {
-	if len(src) != 28 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	m.Devices = binary.LittleEndian.Uint16(src[24:26])
-	m.Mask = binary.LittleEndian.Uint16(src[26:28])
-	return nil
-}
-
-// PresentCount returns the number of devices whose features follow.
-func (m *CloudClassify) PresentCount() int {
-	return bits.OnesCount16(m.Mask)
-}
-
-// EdgeClassify opens an edge classification session for a sample: it
-// announces which devices' FeatureUploads follow (exactly
-// popcount(Mask) of them) and carries the remaining exit-stage
-// thresholds of the escalation pipeline, nearest tier first —
-// Thresholds[0] is the receiving edge's own exit threshold, and any
-// further entries ride along to deeper tiers. An empty list means the
-// receiving tier never exits and always escalates. The edge answers
-// with a ClassifyResult (ExitEdge for confident samples, or the
-// relayed upstream verdict).
-type EdgeClassify struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// ModelVersion pins the session's weights; 0 means the active version.
-	ModelVersion uint64
-	// Devices is the total device count in the hierarchy.
-	Devices uint16
-	// Mask has bit d set when device d's features follow.
-	Mask uint16
-	// Thresholds holds normalized-entropy exit thresholds for this and
-	// deeper tiers, encoded at full float64 precision so distributed
-	// exit decisions are bit-identical to in-process staged inference.
-	Thresholds []float64
-}
-
-// MsgType implements Message.
-func (*EdgeClassify) MsgType() MsgType { return TypeEdgeClassify }
-
-// SessionID implements Sessioned.
-func (m *EdgeClassify) SessionID() uint64 { return m.Session }
-
-func (m *EdgeClassify) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Mask)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Thresholds)))
-	for _, t := range m.Thresholds {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t))
-	}
-	return dst
-}
-
-func (m *EdgeClassify) decodePayload(src []byte) error {
-	if len(src) < 30 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	m.Devices = binary.LittleEndian.Uint16(src[24:26])
-	m.Mask = binary.LittleEndian.Uint16(src[26:28])
-	n := int(binary.LittleEndian.Uint16(src[28:30]))
-	src = src[30:]
-	if len(src) != 8*n {
-		return ErrShortPayload
-	}
-	m.Thresholds = make([]float64, n)
-	for i := range m.Thresholds {
-		m.Thresholds[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	return nil
-}
-
-// PresentCount returns the number of devices whose features follow.
-func (m *EdgeClassify) PresentCount() int {
-	return bits.OnesCount16(m.Mask)
-}
-
-// EdgeFeature carries the bit-packed binarized edge feature map an edge
-// node escalates to the cloud when a sample misses the edge exit: f
-// edge filters of h×w bits each, f·h·w/8 bytes — the edge-tier analogue
-// of the device FeatureUpload. It is a complete escalation on its own
-// (the edge has already aggregated the devices), so the cloud replies
-// with a ClassifyResult directly.
-type EdgeFeature struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// SampleID identifies the sample being classified.
-	SampleID uint64
-	// ModelVersion pins the session's weights; 0 means the active version.
-	ModelVersion uint64
-	// F, H, W give the packed feature map's shape: filters × height × width.
-	F, H, W uint16
-	// Bits is the LSB-first bit-packed binarized feature payload.
-	Bits []byte
-}
-
-// MsgType implements Message.
-func (*EdgeFeature) MsgType() MsgType { return TypeEdgeFeature }
-
-// SessionID implements Sessioned.
-func (m *EdgeFeature) SessionID() uint64 { return m.Session }
-
-func (m *EdgeFeature) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.SampleID)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.F)
-	dst = binary.LittleEndian.AppendUint16(dst, m.H)
-	dst = binary.LittleEndian.AppendUint16(dst, m.W)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Bits)))
-	return append(dst, m.Bits...)
-}
-
-func (m *EdgeFeature) decodePayload(src []byte) error {
-	if len(src) < 34 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.SampleID = binary.LittleEndian.Uint64(src[8:16])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[16:24])
-	m.F = binary.LittleEndian.Uint16(src[24:26])
-	m.H = binary.LittleEndian.Uint16(src[26:28])
-	m.W = binary.LittleEndian.Uint16(src[28:30])
-	n := int(binary.LittleEndian.Uint32(src[30:34]))
-	src = src[34:]
-	if len(src) != n {
-		return ErrShortPayload
-	}
-	want := (int(m.F)*int(m.H)*int(m.W) + 7) / 8
-	if n != want {
-		return fmt.Errorf("wire: edge feature has %d bytes for %d×%d×%d bits (want %d)", n, m.F, m.H, m.W, want)
-	}
-	m.Bits = append([]byte(nil), src...)
 	return nil
 }
 

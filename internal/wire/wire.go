@@ -3,7 +3,7 @@
 // the cloud). Frames are length-prefixed with a fixed header:
 //
 //	magic   uint16  0xDD17 ("DDNN ICDCS'17")
-//	version uint8   3
+//	version uint8   4
 //	type    uint8   message type
 //	length  uint32  payload length in bytes
 //
@@ -15,13 +15,22 @@
 // configs d/e) — the bit-packed edge feature map the edge escalates to the
 // cloud on an edge-exit miss.
 //
+// Every classification session is a batch of n ≥ 1 samples: a single
+// sample is a batch of one. Each hop has one request frame and one reply
+// frame — CaptureBatch/SummaryBatch and FeatureBatchRequest/FeatureBatch
+// on the device links, one Escalation answered by a ResultBatch on the
+// gateway's upstream hop, and EdgeFeatureBatch/ResultBatch on the
+// edge→cloud hop.
+//
 // Since version 2 every session-scoped message carries a Session tag, so a
 // single connection can interleave frames from many concurrent inference
 // sessions and each endpoint demultiplexes replies by session instead of
 // assuming lock-step request/reply. Version 3 added a ModelVersion pin to
 // every serving-path request, so a session started during a rolling model
 // reload is answered by one model version at every hop (0 pins nothing and
-// means "the responder's active version").
+// means "the responder's active version"). Version 4 retired the
+// per-sample frames and folded the upstream escalation header and its
+// per-device feature frames into the single Escalation frame.
 package wire
 
 import (
@@ -38,8 +47,9 @@ const Magic uint16 = 0xDD17
 // Version is the protocol version this package speaks. Version 2 added
 // the Session tag that multiplexes concurrent inference sessions over one
 // connection; version 3 added the model-version pin on every serving-path
-// request (rolling model reloads).
-const Version uint8 = 3
+// request (rolling model reloads); version 4 made every session a batch
+// and the upstream escalation a single frame.
+const Version uint8 = 4
 
 // MaxPayload bounds frame payloads to guard against corrupt or hostile
 // length fields. Feature maps in this system are tiny; 16 MiB is generous.
@@ -51,71 +61,45 @@ const headerSize = 8
 // MsgType identifies a message's payload schema.
 type MsgType uint8
 
-// Message types.
+// Message types. Numbers of types retired by a protocol version are
+// never reused (see docs/WIRE.md).
 const (
 	// TypeHello announces a node and its role after connecting.
-	TypeHello MsgType = iota + 1
-	// TypeLocalSummary carries a device's per-class probability summary to
-	// the local aggregator (the first term of Eq. 1).
-	TypeLocalSummary
-	// TypeFeatureRequest asks a device to upload its feature map for a
-	// sample that missed the local exit.
-	TypeFeatureRequest
-	// TypeFeatureUpload carries a bit-packed binarized feature map (the
-	// second term of Eq. 1).
-	TypeFeatureUpload
-	// TypeClassifyResult reports the final classification of a sample and
-	// the exit that produced it.
-	TypeClassifyResult
+	TypeHello MsgType = 1
 	// TypeHeartbeat is the liveness signal used for failure detection.
-	TypeHeartbeat
+	TypeHeartbeat MsgType = 6
 	// TypeError reports a protocol or processing error.
-	TypeError
-	// TypeCaptureRequest asks a device to capture/process its current
-	// sensor frame for a sample and reply with a LocalSummary.
-	TypeCaptureRequest
-	// TypeCloudClassify announces a cloud classification session: the
-	// header that precedes the present devices' FeatureUploads.
-	TypeCloudClassify
-	// TypeEdgeClassify announces an edge classification session: the
-	// header that precedes the present devices' FeatureUploads on the
-	// gateway→edge hop, carrying the remaining pipeline thresholds.
-	TypeEdgeClassify
-	// TypeEdgeFeature carries the bit-packed edge feature map escalated
-	// from an edge node to the cloud on an edge-exit miss.
-	TypeEdgeFeature
-	// TypeCaptureBatch asks a device to process a micro-batch of sensor
-	// frames in one forward pass and reply with a SummaryBatch.
-	TypeCaptureBatch
+	TypeError MsgType = 7
+	// TypeCaptureBatch asks a device to process a batch of sensor frames
+	// in one forward pass and reply with a SummaryBatch.
+	TypeCaptureBatch MsgType = 12
 	// TypeSummaryBatch carries a device's per-sample class summaries for
 	// a whole capture batch, with a presence bitmask for absent frames.
-	TypeSummaryBatch
+	TypeSummaryBatch MsgType = 13
 	// TypeFeatureBatchRequest asks a device for the feature maps of the
 	// batch subset that missed the local exit.
-	TypeFeatureBatchRequest
+	TypeFeatureBatchRequest MsgType = 14
 	// TypeFeatureBatch carries one device's bit-packed feature maps for
-	// several samples in a single frame.
-	TypeFeatureBatch
-	// TypeCloudClassifyBatch announces a batched cloud classification
-	// session with per-sample device masks.
-	TypeCloudClassifyBatch
-	// TypeEdgeClassifyBatch announces a batched edge classification
-	// session with per-sample device masks and relayed thresholds.
-	TypeEdgeClassifyBatch
+	// the requested samples in a single frame.
+	TypeFeatureBatch MsgType = 15
 	// TypeEdgeFeatureBatch carries the edge feature maps of the batch
 	// subset that missed the edge exit.
-	TypeEdgeFeatureBatch
-	// TypeResultBatch reports the per-sample verdicts of one batched
-	// session in a single frame.
-	TypeResultBatch
+	TypeEdgeFeatureBatch MsgType = 18
+	// TypeResultBatch reports the per-sample verdicts of one session in a
+	// single frame.
+	TypeResultBatch MsgType = 19
 	// TypeDeviceHello opens a registration handshake: a device asks the
 	// gateway's registration plane to admit it into a device slot.
-	TypeDeviceHello
+	TypeDeviceHello MsgType = 20
 	// TypeDeviceWelcome acknowledges an admission or departure and
 	// reports the resulting topology config version.
-	TypeDeviceWelcome
+	TypeDeviceWelcome MsgType = 21
 	// TypeDeviceGoodbye deregisters a device slot from the live topology.
-	TypeDeviceGoodbye
+	TypeDeviceGoodbye MsgType = 22
+	// TypeEscalation carries a session's hard samples — their device
+	// masks, the relayed exit thresholds and every covered device's
+	// packed feature maps — from the gateway to the next tier up.
+	TypeEscalation MsgType = 23
 )
 
 // String names the message type.
@@ -123,26 +107,10 @@ func (t MsgType) String() string {
 	switch t {
 	case TypeHello:
 		return "Hello"
-	case TypeLocalSummary:
-		return "LocalSummary"
-	case TypeFeatureRequest:
-		return "FeatureRequest"
-	case TypeFeatureUpload:
-		return "FeatureUpload"
-	case TypeClassifyResult:
-		return "ClassifyResult"
 	case TypeHeartbeat:
 		return "Heartbeat"
 	case TypeError:
 		return "Error"
-	case TypeCaptureRequest:
-		return "CaptureRequest"
-	case TypeCloudClassify:
-		return "CloudClassify"
-	case TypeEdgeClassify:
-		return "EdgeClassify"
-	case TypeEdgeFeature:
-		return "EdgeFeature"
 	case TypeCaptureBatch:
 		return "CaptureBatch"
 	case TypeSummaryBatch:
@@ -151,10 +119,6 @@ func (t MsgType) String() string {
 		return "FeatureBatchRequest"
 	case TypeFeatureBatch:
 		return "FeatureBatch"
-	case TypeCloudClassifyBatch:
-		return "CloudClassifyBatch"
-	case TypeEdgeClassifyBatch:
-		return "EdgeClassifyBatch"
 	case TypeEdgeFeatureBatch:
 		return "EdgeFeatureBatch"
 	case TypeResultBatch:
@@ -165,6 +129,8 @@ func (t MsgType) String() string {
 		return "DeviceWelcome"
 	case TypeDeviceGoodbye:
 		return "DeviceGoodbye"
+	case TypeEscalation:
+		return "Escalation"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -268,26 +234,10 @@ func newMessage(t MsgType) (Message, error) {
 	switch t {
 	case TypeHello:
 		return &Hello{}, nil
-	case TypeLocalSummary:
-		return &LocalSummary{}, nil
-	case TypeFeatureRequest:
-		return &FeatureRequest{}, nil
-	case TypeFeatureUpload:
-		return &FeatureUpload{}, nil
-	case TypeClassifyResult:
-		return &ClassifyResult{}, nil
 	case TypeHeartbeat:
 		return &Heartbeat{}, nil
 	case TypeError:
 		return &Error{}, nil
-	case TypeCaptureRequest:
-		return &CaptureRequest{}, nil
-	case TypeCloudClassify:
-		return &CloudClassify{}, nil
-	case TypeEdgeClassify:
-		return &EdgeClassify{}, nil
-	case TypeEdgeFeature:
-		return &EdgeFeature{}, nil
 	case TypeCaptureBatch:
 		return &CaptureBatch{}, nil
 	case TypeSummaryBatch:
@@ -296,10 +246,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &FeatureBatchRequest{}, nil
 	case TypeFeatureBatch:
 		return &FeatureBatch{}, nil
-	case TypeCloudClassifyBatch:
-		return &CloudClassifyBatch{}, nil
-	case TypeEdgeClassifyBatch:
-		return &EdgeClassifyBatch{}, nil
 	case TypeEdgeFeatureBatch:
 		return &EdgeFeatureBatch{}, nil
 	case TypeResultBatch:
@@ -310,6 +256,8 @@ func newMessage(t MsgType) (Message, error) {
 		return &DeviceWelcome{}, nil
 	case TypeDeviceGoodbye:
 		return &DeviceGoodbye{}, nil
+	case TypeEscalation:
+		return &Escalation{}, nil
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}

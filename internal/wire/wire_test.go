@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -36,18 +41,29 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	}{
 		{"Hello", &Hello{NodeID: "device-3", Role: RoleDevice, Device: 3}},
 		{"Hello empty id", &Hello{NodeID: "", Role: RoleCloud}},
-		{"LocalSummary", &LocalSummary{Session: 17, SampleID: 42, Device: 1, Probs: []float32{0.1, 0.7, 0.2}}},
-		{"LocalSummary empty", &LocalSummary{SampleID: 1, Device: 0, Probs: []float32{}}},
-		{"FeatureRequest", &FeatureRequest{Session: 3, SampleID: 99}},
-		{"FeatureUpload", &FeatureUpload{Session: 9, SampleID: 7, Device: 2, F: 4, H: 16, W: 16, Bits: make([]byte, 4*16*16/8)}},
-		{"ClassifyResult", &ClassifyResult{Session: 1 << 40, SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.05, 0.05, 0.9}}},
+		// Since version 4 the per-sample protocol roles — capture request,
+		// local summary, feature request and upload, cloud and edge
+		// classify, edge feature and classify result — are batch-of-one
+		// frames; these entries keep the role names.
+		{"LocalSummary", &SummaryBatch{Session: 17, Device: 1, Classes: 3, Count: 1,
+			Present: PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}}},
+		{"LocalSummary empty", &SummaryBatch{Session: 1, Device: 0, Classes: 0, Count: 1,
+			Present: PackPresent([]bool{true}), Probs: []float32{}}},
+		{"FeatureRequest", &FeatureBatchRequest{Session: 3, SampleIDs: []uint64{99}}},
+		{"FeatureUpload", &FeatureBatch{Session: 9, Device: 2, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)}},
+		{"ClassifyResult", &ResultBatch{Session: 1 << 40, Verdicts: []BatchVerdict{
+			{SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.05, 0.05, 0.9}},
+		}}},
 		{"Heartbeat", &Heartbeat{NodeID: "edge-0", Seq: 12345}},
 		{"Error", &Error{Session: 12, Code: 404, Msg: "no such sample"}},
-		{"CaptureRequest", &CaptureRequest{Session: 2, SampleID: 31337}},
-		{"CloudClassify", &CloudClassify{Session: 6, SampleID: 8, Devices: 6, Mask: 0b101101}},
-		{"EdgeClassify", &EdgeClassify{Session: 11, SampleID: 9, Devices: 6, Mask: 0b011011, Thresholds: []float64{0.8}}},
-		{"EdgeClassify deep", &EdgeClassify{Session: 12, SampleID: 10, Devices: 4, Mask: 0b1111, Thresholds: []float64{0.8, 0.5, 0.3}}},
-		{"EdgeFeature", &EdgeFeature{Session: 13, SampleID: 21, F: 8, H: 8, W: 8, Bits: make([]byte, 8*8*8/8)}},
+		{"CaptureRequest", &CaptureBatch{Session: 2, SampleIDs: []uint64{31337}}},
+		{"CloudClassify", &Escalation{Session: 6, Devices: 6, F: 4, H: 2, W: 2,
+			SampleIDs: []uint64{8}, Masks: []uint16{0b101101}, Bits: make([]byte, 4*2)}},
+		{"EdgeClassify", &Escalation{Session: 11, Devices: 6, F: 4, H: 2, W: 2,
+			SampleIDs: []uint64{9}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8}, Bits: make([]byte, 4*2)}},
+		{"EdgeClassify deep", &Escalation{Session: 12, Devices: 4, F: 4, H: 2, W: 2,
+			SampleIDs: []uint64{10}, Masks: []uint16{0b1111}, Thresholds: []float64{0.8, 0.5, 0.3}, Bits: make([]byte, 4*2)}},
+		{"EdgeFeature", &EdgeFeatureBatch{Session: 13, F: 8, H: 8, W: 8, SampleIDs: []uint64{21}, Bits: make([]byte, 8*8*8/8)}},
 		{"CaptureBatch", &CaptureBatch{Session: 14, SampleIDs: []uint64{3, 1, 4, 1 << 40}}},
 		{"SummaryBatch", &SummaryBatch{Session: 15, Device: 2, Classes: 3, Count: 4,
 			Present: PackPresent([]bool{true, false, true, true}),
@@ -56,10 +72,10 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			Present: PackPresent([]bool{false, false}), Probs: []float32{}}},
 		{"FeatureBatchRequest", &FeatureBatchRequest{Session: 16, SampleIDs: []uint64{7, 9}}},
 		{"FeatureBatch", &FeatureBatch{Session: 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 2*4*16*16/8)}},
-		{"CloudClassifyBatch", &CloudClassifyBatch{Session: 18, Devices: 6,
-			SampleIDs: []uint64{5, 6, 7}, Masks: []uint16{0b111111, 0b101101, 0b000001}}},
-		{"EdgeClassifyBatch", &EdgeClassifyBatch{Session: 19, Devices: 6,
-			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b011011}, Thresholds: []float64{0.8, 0.5}}},
+		{"CloudClassifyBatch", &Escalation{Session: 18, ModelVersion: 3, Devices: 6, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{5, 6, 7}, Masks: []uint16{0b111111, 0b101101, 0b000001}, Bits: make([]byte, 11*2)}},
+		{"EdgeClassifyBatch", &Escalation{Session: 19, ModelVersion: 4, Devices: 6, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b011011}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 10*2)}},
 		{"EdgeFeatureBatch", &EdgeFeatureBatch{Session: 20, F: 8, H: 8, W: 8,
 			SampleIDs: []uint64{11, 12, 13}, Bits: make([]byte, 3*8*8*8/8)}},
 		{"ResultBatch", &ResultBatch{Session: 21, Verdicts: []BatchVerdict{
@@ -75,10 +91,6 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			got := roundTrip(t, tt.msg)
-			// Normalize nil-vs-empty slices before comparing.
-			if ls, ok := got.(*LocalSummary); ok && len(ls.Probs) == 0 {
-				ls.Probs = []float32{}
-			}
 			if !reflect.DeepEqual(got, tt.msg) {
 				t.Errorf("round trip = %+v, want %+v", got, tt.msg)
 			}
@@ -90,21 +102,12 @@ func TestSessionScopedMessagesImplementSessioned(t *testing.T) {
 	// Every message the gateway demultiplexes by session must carry the
 	// session tag; Hello and Heartbeat are connection-scoped.
 	sessioned := []Message{
-		&LocalSummary{Session: 7},
-		&FeatureRequest{Session: 7},
-		&FeatureUpload{Session: 7},
-		&ClassifyResult{Session: 7},
 		&Error{Session: 7},
-		&CaptureRequest{Session: 7},
-		&CloudClassify{Session: 7},
-		&EdgeClassify{Session: 7},
-		&EdgeFeature{Session: 7},
 		&CaptureBatch{Session: 7},
 		&SummaryBatch{Session: 7},
 		&FeatureBatchRequest{Session: 7},
 		&FeatureBatch{Session: 7},
-		&CloudClassifyBatch{Session: 7},
-		&EdgeClassifyBatch{Session: 7},
+		&Escalation{Session: 7},
 		&EdgeFeatureBatch{Session: 7},
 		&ResultBatch{Session: 7},
 	}
@@ -133,29 +136,45 @@ func TestLocalSummaryPayloadChargesEq1(t *testing.T) {
 }
 
 func TestFeatureUploadBitsMatchEq1(t *testing.T) {
-	// Eq. (1) second term: f·o/8 bytes for f=4 filters of 16×16 bits.
-	m := &FeatureUpload{F: 4, H: 16, W: 16, Bits: make([]byte, 128)}
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.(*FeatureUpload).Bits) != 128 {
-		t.Errorf("decoded %d feature bytes, want 128 = 4·256/8", len(got.(*FeatureUpload).Bits))
+	// Eq. (1) second term: f·o/8 bytes for f=4 filters of 16×16 bits, per
+	// sample, on the device uplink and in the upstream escalation alike.
+	for _, m := range []Message{
+		&FeatureBatch{F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 128)},
+		&Escalation{Devices: 6, F: 4, H: 16, W: 16, SampleIDs: []uint64{1}, Masks: []uint16{0b1}, Bits: make([]byte, 128)},
+	} {
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		switch g := got.(type) {
+		case *FeatureBatch:
+			n = len(g.Bits)
+		case *Escalation:
+			n = len(g.Bits)
+		}
+		if n != 128 {
+			t.Errorf("%v decoded %d feature bytes, want 128 = 4·256/8", m.MsgType(), n)
+		}
 	}
 }
 
 func TestFeatureUploadRejectsInconsistentBits(t *testing.T) {
-	m := &FeatureUpload{F: 4, H: 16, W: 16, Bits: make([]byte, 100)} // wrong size
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(&buf); err == nil {
-		t.Error("Decode accepted feature upload with inconsistent bit count")
+	for _, m := range []Message{
+		&FeatureBatch{F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 100)},
+		&EdgeFeatureBatch{F: 4, H: 16, W: 16, SampleIDs: []uint64{1}, Bits: make([]byte, 100)},
+	} {
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err == nil {
+			t.Errorf("Decode accepted %v with inconsistent bit count", m.MsgType())
+		}
 	}
 }
 
@@ -214,7 +233,7 @@ func TestDecodeEOFOnEmptyStream(t *testing.T) {
 
 func TestDecodeTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Encode(&buf, &LocalSummary{SampleID: 1, Probs: []float32{1, 2, 3}}); err != nil {
+	if _, err := Encode(&buf, &SummaryBatch{Classes: 3, Count: 1, Present: []byte{1}, Probs: []float32{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -227,10 +246,12 @@ func TestStreamOfMessages(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		&Hello{NodeID: "d0", Role: RoleDevice},
-		&LocalSummary{SampleID: 1, Probs: []float32{0.9, 0.05, 0.05}},
-		&FeatureRequest{SampleID: 1},
-		&FeatureUpload{SampleID: 1, F: 1, H: 4, W: 4, Bits: []byte{0xAB, 0xCD}},
-		&ClassifyResult{SampleID: 1, Exit: ExitLocal, Class: 0, Probs: []float32{0.9, 0.05, 0.05}},
+		&CaptureBatch{SampleIDs: []uint64{1}},
+		&SummaryBatch{Classes: 3, Count: 1, Present: []byte{1}, Probs: []float32{0.9, 0.05, 0.05}},
+		&FeatureBatchRequest{SampleIDs: []uint64{1}},
+		&FeatureBatch{F: 1, H: 4, W: 4, Count: 1, Bits: []byte{0xAB, 0xCD}},
+		&Escalation{Devices: 1, F: 1, H: 4, W: 4, SampleIDs: []uint64{1}, Masks: []uint16{1}, Bits: []byte{0xAB, 0xCD}},
+		&ResultBatch{Verdicts: []BatchVerdict{{SampleID: 1, Exit: ExitLocal, Class: 0, Probs: []float32{0.9, 0.05, 0.05}}}},
 	}
 	for _, m := range msgs {
 		if _, err := Encode(&buf, m); err != nil {
@@ -252,8 +273,10 @@ func TestStreamOfMessages(t *testing.T) {
 }
 
 func TestLocalSummaryRoundTripProperty(t *testing.T) {
-	f := func(id uint64, dev uint16, p0, p1, p2 float32) bool {
-		in := &LocalSummary{SampleID: id, Device: dev, Probs: []float32{p0, p1, p2}}
+	// One sample's class summary rides a one-row SummaryBatch.
+	f := func(session uint64, dev uint16, p0, p1, p2 float32) bool {
+		in := &SummaryBatch{Session: session, Device: dev, Classes: 3, Count: 1,
+			Present: []byte{1}, Probs: []float32{p0, p1, p2}}
 		var buf bytes.Buffer
 		if _, err := Encode(&buf, in); err != nil {
 			return false
@@ -262,11 +285,11 @@ func TestLocalSummaryRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := out.(*LocalSummary)
+		got, ok := out.(*SummaryBatch)
 		if !ok {
 			return false
 		}
-		if got.SampleID != id || got.Device != dev || len(got.Probs) != 3 {
+		if got.Session != session || got.Device != dev || !got.Has(0) || len(got.Probs) != 3 {
 			return false
 		}
 		for i, p := range []float32{p0, p1, p2} {
@@ -305,22 +328,26 @@ func TestHeartbeatRoundTripProperty(t *testing.T) {
 }
 
 func TestCloudClassifyPresentCount(t *testing.T) {
+	// A cloud classify escalation counts one feature map per set mask bit,
+	// summed over its samples.
 	tests := []struct {
-		mask uint16
-		want int
+		masks []uint16
+		want  int
 	}{
-		{0, 0}, {1, 1}, {0b111111, 6}, {0b101010, 3}, {1 << 15, 1},
+		{nil, 0}, {[]uint16{0}, 0}, {[]uint16{1}, 1}, {[]uint16{0b111111}, 6},
+		{[]uint16{0b101010}, 3}, {[]uint16{1 << 15}, 1}, {[]uint16{0b111111, 0b101101, 1}, 11},
 	}
 	for _, tt := range tests {
-		m := &CloudClassify{Mask: tt.mask}
+		m := &Escalation{Masks: tt.masks}
 		if got := m.PresentCount(); got != tt.want {
-			t.Errorf("PresentCount(%b) = %d, want %d", tt.mask, got, tt.want)
+			t.Errorf("PresentCount(%b) = %d, want %d", tt.masks, got, tt.want)
 		}
 	}
 }
 
 func TestMsgTypeAndRoleStrings(t *testing.T) {
-	for _, mt := range []MsgType{TypeHello, TypeLocalSummary, TypeFeatureRequest, TypeFeatureUpload, TypeClassifyResult, TypeHeartbeat, TypeError, TypeCaptureRequest, TypeCloudClassify, TypeEdgeClassify, TypeEdgeFeature} {
+	for _, m := range seedMessages() {
+		mt := m.MsgType()
 		if mt.String() == "" || mt.String()[0] == 'M' {
 			t.Errorf("MsgType(%d) has no name", mt)
 		}
@@ -333,6 +360,61 @@ func TestMsgTypeAndRoleStrings(t *testing.T) {
 	for _, e := range []ExitPoint{ExitLocal, ExitEdge, ExitCloud} {
 		if e.String() == "" || e.String()[0] == 'E' {
 			t.Errorf("ExitPoint(%d) has no name", e)
+		}
+	}
+}
+
+func TestRetiredMessageTypesAreUnknown(t *testing.T) {
+	// Version 4 retired the per-sample frames (2–5, 8–11) and the
+	// two-frame escalation headers (16, 17); their numbers are never
+	// reused, so a stray frame of a retired type is an unknown type.
+	for _, mt := range []MsgType{2, 3, 4, 5, 8, 9, 10, 11, 16, 17} {
+		if _, err := newMessage(mt); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("retired type %d: err = %v, want ErrUnknownType", mt, err)
+		}
+	}
+}
+
+// corruptSeeds names the committed FuzzDecode seeds that are corrupt on
+// purpose; every other seed must be a valid frame.
+var corruptSeeds = []string{"badtype", "truncated", "oversize", "empty"}
+
+func TestCommittedCorpusDecodes(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := map[MsgType]bool{}
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, "seed-") || slices.ContainsFunc(corruptSeeds, func(c string) bool {
+			return strings.Contains(name, c)
+		}) {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		if len(lines) < 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+			t.Fatalf("%s: not a go test fuzz v1 []byte entry", name)
+		}
+		frame, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, err := Decode(strings.NewReader(frame))
+		if err != nil {
+			t.Errorf("%s does not decode at version %d: %v (regenerate with `go run gen_corpus.go`)", name, Version, err)
+			continue
+		}
+		covered[m.MsgType()] = true
+	}
+	for _, m := range seedMessages() {
+		if !covered[m.MsgType()] {
+			t.Errorf("committed corpus has no seed of type %v", m.MsgType())
 		}
 	}
 }

@@ -221,7 +221,7 @@ func WithWorkers(n int) Option {
 // amortize across up to maxBatch samples. A partial batch flushes after
 // linger (<= 0 means the 2 ms default), which is the latency an isolated
 // request can pay in exchange for load throughput; results are
-// bit-identical to per-sample sessions. maxBatch <= 1 disables batching.
+// bit-identical to single-sample batches. maxBatch <= 1 disables batching.
 // ClassifyBatch chunks its IDs into maxBatch-sized sessions directly.
 func WithBatching(maxBatch int, linger time.Duration) Option {
 	return func(o *engineOptions) {
