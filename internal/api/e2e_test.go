@@ -82,7 +82,7 @@ func TestE2EClassifyMatchesEngine(t *testing.T) {
 	const samples = 10
 	want := make([]ddnn.Result, samples)
 	for id := 0; id < samples; id++ {
-		res, err := eng.ClassifyShed(ctx, uint64(id), ddnn.ShedNone)
+		res, err := eng.Classify(ctx, uint64(id))
 		if err != nil {
 			t.Fatalf("baseline sample %d: %v", id, err)
 		}
@@ -138,7 +138,7 @@ func TestE2EUploadMatchesDatasetSample(t *testing.T) {
 	ctx := context.Background()
 
 	const id = 3
-	want, err := eng.ClassifyShed(ctx, id, ddnn.ShedNone)
+	want, err := eng.Classify(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestE2EBatchMatchesEngine(t *testing.T) {
 	ids := []uint64{0, 1, 2, 3, 4}
 	want := make([]ddnn.Result, len(ids))
 	for i, id := range ids {
-		res, err := eng.ClassifyShed(ctx, id, ddnn.ShedNone)
+		res, err := eng.Classify(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestE2EShedLevelsStillAnswer(t *testing.T) {
 	eng, _ := newE2EServer(t, Config{})
 	ctx := context.Background()
 	for _, level := range []ddnn.ShedLevel{ddnn.ShedNone, ddnn.ShedPreferEdge, ddnn.ShedLocalOnly} {
-		res, err := eng.ClassifyShed(ctx, 0, level)
+		res, err := eng.ClassifyTenantShed(ctx, 0, "", level)
 		if err != nil {
 			t.Fatalf("level %v: %v", level, err)
 		}

@@ -530,7 +530,7 @@ func (h *Harness) sweep(ctx context.Context) {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			res, err := h.eng.ClassifyShed(cctx, uint64(id), cluster.ShedNone)
+			res, err := h.eng.Classify(cctx, uint64(id))
 			cancel()
 			if err == nil && fullMask(res.Present) {
 				h.verifier.CheckResult("sweep", res, cluster.ShedNone, id)
@@ -832,7 +832,7 @@ func (h *Harness) opEngine(ctx context.Context, rng *rand.Rand) {
 		for i := range ids {
 			ids[i] = uint64(rng.Intn(h.sampleN))
 		}
-		results, err := h.eng.ClassifyBatchShed(cctx, ids, level)
+		results, err := h.eng.ClassifyBatchTenantShed(cctx, ids, "", level)
 		if err != nil {
 			h.verifier.CheckError("engine batch", err)
 			h.report.Record(OutcomeFailed)
@@ -849,7 +849,7 @@ func (h *Harness) opEngine(ctx context.Context, rng *rand.Rand) {
 		return
 	}
 	id := rng.Intn(h.sampleN)
-	res, err := h.eng.ClassifyShed(cctx, uint64(id), level)
+	res, err := h.eng.ClassifyTenantShed(cctx, uint64(id), "", level)
 	if err != nil {
 		h.verifier.CheckError("engine classify", err)
 		h.report.Record(OutcomeFailed)
@@ -933,7 +933,7 @@ func (h *Harness) opCanceled(ctx context.Context, rng *rand.Rand) {
 	cctx, cancel := context.WithTimeout(ctx, time.Duration(1+rng.Intn(20))*time.Millisecond)
 	defer cancel()
 	id := rng.Intn(h.sampleN)
-	res, err := h.eng.ClassifyShed(cctx, uint64(id), cluster.ShedNone)
+	res, err := h.eng.Classify(cctx, uint64(id))
 	if err != nil {
 		h.verifier.CheckError("engine canceled", err)
 		h.report.Record(OutcomeFailed)

@@ -1,19 +1,12 @@
 package cluster
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
-	"sync"
-	"sync/atomic"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/nn"
 	"github.com/ddnn/ddnn-go/internal/tensor"
-	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
@@ -30,26 +23,9 @@ import (
 // per-session state between frames; each session is classified in its
 // own goroutine against the shared read-only model.
 type Cloud struct {
-	model  *core.Model
-	reg    *modelRegistry
-	logger *slog.Logger
+	node
 
-	failed atomic.Bool
-	// active counts in-flight classifications (goroutines spawned by the
-	// connection handlers); Drain polls it to zero before tearing down.
-	active atomic.Int64
-
-	// pool recycles session feature maps and forward tensors across
-	// classifications, keeping the steady-state handler allocation-free.
-	pool *tensor.Pool
-
-	listener  net.Listener
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+	model *core.Model
 }
 
 // NewCloud constructs the cloud node around a trained model.
@@ -57,150 +33,50 @@ func NewCloud(model *core.Model, logger *slog.Logger) *Cloud {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Cloud{
-		model:  model,
-		reg:    newModelRegistry(model, 1),
-		logger: logger.With("node", "cloud"),
-		pool:   tensor.NewPool(),
-		conns:  make(map[net.Conn]struct{}),
-	}
+	c := &Cloud{model: model}
+	c.init("cloud", logger.With("node", "cloud"), newModelRegistry(model, 1), c.serve)
+	return c
 }
 
-// Serve starts accepting gateway connections.
-func (c *Cloud) Serve(tr transport.Transport, addr string) error {
-	l, err := tr.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("cluster: cloud: %w", err)
-	}
-	c.listener = l
-	c.wg.Add(1)
-	go c.acceptLoop()
-	return nil
-}
-
-// Addr returns the listener's address; it is only valid after Serve.
-func (c *Cloud) Addr() string {
-	if c.listener == nil {
-		return ""
-	}
-	return c.listener.Addr().String()
-}
-
-// SetFailed toggles simulated failure: a failed cloud replica goes
-// silent, which downstream tiers observe as escalation timeouts — their
-// replica pools then fence it and fail sessions over to the remaining
-// replicas.
-func (c *Cloud) SetFailed(failed bool) { c.failed.Store(failed) }
-
-// Failed reports the simulated-failure state.
-func (c *Cloud) Failed() bool { return c.failed.Load() }
-
-func (c *Cloud) acceptLoop() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.listener.Accept()
-		if err != nil {
+// serve answers one downstream escalation. The model its version pin
+// resolved to serves the whole session, even if the replica's active
+// version flips meanwhile.
+func (c *Cloud) serve(send func(wire.Message) error, msg wire.Message) {
+	switch m := msg.(type) {
+	case *wire.Escalation:
+		if c.model.Cfg.UseEdge {
+			_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeatureBatch escalations only"})
 			return
 		}
-		c.connMu.Lock()
-		if c.closed {
-			c.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		c.conns[conn] = struct{}{}
-		c.connMu.Unlock()
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer func() {
-				conn.Close()
-				c.connMu.Lock()
-				delete(c.conns, conn)
-				c.connMu.Unlock()
-			}()
-			c.handle(conn)
-		}()
-	}
-}
-
-func (c *Cloud) handle(conn net.Conn) {
-	var wmu sync.Mutex
-	send := func(m wire.Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := wire.Encode(conn, m)
-		return err
-	}
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	// classify runs one decoded session in its own goroutine; the model
-	// its version pin resolved to serves the whole session, even if the
-	// replica's active version flips meanwhile.
-	classify := func(run func()) {
-		inflight.Add(1)
-		c.active.Add(1)
-		go func() {
-			defer inflight.Done()
-			defer c.active.Add(-1)
-			run()
-		}()
-	}
-	for {
-		msg, err := wire.Decode(conn)
+		model, _, err := c.reg.resolve(m.ModelVersion)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				c.logger.Debug("decode error", "err", err)
-			}
+			_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 			return
 		}
-		if c.failed.Load() {
-			// A crashed cloud replica goes silent; the downstream pool's
-			// escalation timeout and failover handle the rest.
-			continue
+		feats, err := unpackEscalation(model, m, c.pool)
+		if err != nil {
+			_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
+			return
 		}
-		switch m := msg.(type) {
-		case *wire.Heartbeat:
-			// Echo liveness probes so the downstream tier's failure
-			// detector can watch the cloud.
-			if err := send(m); err != nil {
-				return
-			}
-		case *wire.Escalation:
-			if c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "edge-tier model: the cloud accepts EdgeFeatureBatch escalations only"})
-				continue
-			}
-			model, _, err := c.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			feats, err := unpackEscalation(model, m, c.pool)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			classify(func() { c.classify(send, model, m, feats) })
-		case *wire.EdgeFeatureBatch:
-			if !c.model.Cfg.UseEdge {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send an Escalation"})
-				continue
-			}
-			model, _, err := c.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			feat, err := c.unpackEdgeFeatureBatch(model, m)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			classify(func() { c.classifyFromEdge(send, model, m, feat) })
-		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected Escalation or EdgeFeatureBatch, got %v", msg.MsgType())})
+		c.classify(send, model, m, feats)
+	case *wire.EdgeFeatureBatch:
+		if !c.model.Cfg.UseEdge {
+			_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: "model has no edge tier; send an Escalation"})
+			return
 		}
+		model, _, err := c.reg.resolve(m.ModelVersion)
+		if err != nil {
+			_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
+			return
+		}
+		feat, err := c.unpackEdgeFeatureBatch(model, m)
+		if err != nil {
+			_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
+			return
+		}
+		c.classifyFromEdge(send, model, m, feat)
+	default:
+		_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected Escalation or EdgeFeatureBatch, got %v", msg.MsgType())})
 	}
 }
 
@@ -265,37 +141,4 @@ func (c *Cloud) classifyFromEdge(send func(wire.Message) error, model *core.Mode
 	if err := send(&wire.ResultBatch{Session: m.Session, Verdicts: verdicts}); err != nil {
 		c.logger.Debug("edge batch reply failed", "session", m.Session, "err", err)
 	}
-}
-
-// Drain gracefully shuts the cloud node down: it stops accepting new
-// connections immediately, then waits for in-flight classifications to
-// settle (their replies still go out on the open connections) before
-// tearing the node down. Downstream gateways hold their connections open
-// indefinitely, so Drain waits on the classification counter, not on
-// connection EOFs. When the context expires first, the node is torn down
-// anyway and the context error is returned.
-func (c *Cloud) Drain(ctx context.Context) error {
-	if c.listener != nil {
-		c.listener.Close()
-	}
-	err := awaitIdle(ctx, &c.active)
-	c.Close()
-	return err
-}
-
-// Close stops the cloud node, terminating any in-flight connections.
-func (c *Cloud) Close() error {
-	c.closeOnce.Do(func() {
-		if c.listener != nil {
-			c.listener.Close()
-		}
-		c.connMu.Lock()
-		c.closed = true
-		for conn := range c.conns {
-			conn.Close()
-		}
-		c.connMu.Unlock()
-	})
-	c.wg.Wait()
-	return nil
 }

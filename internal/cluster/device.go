@@ -21,17 +21,12 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/tensor"
-	"github.com/ddnn/ddnn-go/internal/transport"
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
@@ -47,35 +42,22 @@ type Feed func(sampleID uint64) (*tensor.Tensor, error)
 const maxRetainedFeatures = 256
 
 // Device is an end-device node: it owns one device section of the DDNN and
-// serves the gateway's CaptureBatch and FeatureBatchRequest frames.
-// Requests are served concurrently; the model section is shared
-// read-only.
+// serves the gateway's CaptureBatch and FeatureBatchRequest frames on the
+// shared node runtime. Requests are served concurrently; the model
+// section is shared read-only, and the node's tensor pool recycles the
+// forward tensors (feature maps, exit vectors, conv scratch) across
+// sessions, keeping steady-state capture handling free of per-sample
+// heap allocation.
 type Device struct {
-	model  *core.Model
-	reg    *modelRegistry
-	index  int
-	feed   Feed
-	logger *slog.Logger
+	node
 
-	failed atomic.Bool
-
-	// pool recycles the node's forward tensors (feature maps, exit
-	// vectors, conv scratch) across sessions, keeping steady-state
-	// capture handling free of per-sample heap allocation.
-	pool *tensor.Pool
+	model *core.Model
+	index int
+	feed  Feed
 
 	mu        sync.Mutex // guards features/featOrder only
 	features  map[uint64]retainedFeature
 	featOrder []uint64 // insertion order for eviction
-
-	listener net.Listener
-	wg       sync.WaitGroup
-
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // NewDevice constructs a device node for device `index` of the model,
@@ -84,127 +66,29 @@ func NewDevice(model *core.Model, index int, feed Feed, logger *slog.Logger) *De
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Device{
+	d := &Device{
 		model:    model,
-		reg:      newModelRegistry(model, 1),
 		index:    index,
 		feed:     feed,
-		logger:   logger.With("node", fmt.Sprintf("device-%d", index)),
-		pool:     tensor.NewPool(),
 		features: make(map[uint64]retainedFeature),
-		conns:    make(map[net.Conn]struct{}),
 	}
+	d.init(fmt.Sprintf("device %d", index), logger.With("node", fmt.Sprintf("device-%d", index)), newModelRegistry(model, 1), d.serve)
+	return d
 }
 
-// Serve starts accepting gateway connections on the transport address.
-// It returns once the listener is active.
-func (d *Device) Serve(tr transport.Transport, addr string) error {
-	l, err := tr.Listen(addr)
+// serve answers one gateway frame.
+func (d *Device) serve(send func(wire.Message) error, msg wire.Message) {
+	var err error
+	switch m := msg.(type) {
+	case *wire.CaptureBatch:
+		err = d.onCaptureBatch(send, m)
+	case *wire.FeatureBatchRequest:
+		err = d.onFeatureBatchRequest(send, m)
+	default:
+		err = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("unexpected %v", msg.MsgType())})
+	}
 	if err != nil {
-		return fmt.Errorf("cluster: device %d: %w", d.index, err)
-	}
-	d.listener = l
-	d.wg.Add(1)
-	go d.acceptLoop()
-	return nil
-}
-
-func (d *Device) acceptLoop() {
-	defer d.wg.Done()
-	for {
-		conn, err := d.listener.Accept()
-		if err != nil {
-			return
-		}
-		d.connMu.Lock()
-		if d.closed {
-			d.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		d.conns[conn] = struct{}{}
-		d.connMu.Unlock()
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer func() {
-				conn.Close()
-				d.connMu.Lock()
-				delete(d.conns, conn)
-				d.connMu.Unlock()
-			}()
-			d.handle(conn)
-		}()
-	}
-}
-
-// Addr returns the listener's address; it is only valid after Serve.
-func (d *Device) Addr() string {
-	if d.listener == nil {
-		return ""
-	}
-	return d.listener.Addr().String()
-}
-
-// SetFailed toggles simulated failure: a failed device stops answering
-// requests, which the gateway observes as timeouts (§IV-G).
-func (d *Device) SetFailed(failed bool) { d.failed.Store(failed) }
-
-// Failed reports the simulated-failure state.
-func (d *Device) Failed() bool { return d.failed.Load() }
-
-// handle decodes frames and serves each request in its own goroutine, so
-// one connection carries any number of concurrent sessions. Replies are
-// serialized through a per-connection write lock.
-func (d *Device) handle(conn net.Conn) {
-	var wmu sync.Mutex
-	send := func(m wire.Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := wire.Encode(conn, m)
-		return err
-	}
-	var reqs sync.WaitGroup
-	defer reqs.Wait()
-	for {
-		msg, err := wire.Decode(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				d.logger.Debug("decode error", "err", err)
-			}
-			return
-		}
-		if d.failed.Load() {
-			// A crashed device goes silent; it neither computes nor
-			// replies. The gateway's timeout handles the rest.
-			continue
-		}
-		switch m := msg.(type) {
-		case *wire.CaptureBatch:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onCaptureBatch(send, m); err != nil {
-					d.logger.Debug("batch capture failed", "session", m.Session, "err", err)
-				}
-			}()
-		case *wire.FeatureBatchRequest:
-			reqs.Add(1)
-			go func() {
-				defer reqs.Done()
-				if err := d.onFeatureBatchRequest(send, m); err != nil {
-					d.logger.Debug("batch feature upload failed", "session", m.Session, "err", err)
-				}
-			}()
-		case *wire.Heartbeat:
-			// Echo liveness probes so the gateway's failure detector can
-			// distinguish a live device from a crashed one.
-			if err := send(m); err != nil {
-				return
-			}
-		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("unexpected %v", msg.MsgType())})
-		}
+		d.logger.Debug("request failed", "type", msg.MsgType(), "session", sessionOf(msg), "err", err)
 	}
 }
 
@@ -360,21 +244,4 @@ func (d *Device) onFeatureBatchRequest(send func(wire.Message) error, m *wire.Fe
 		Count: uint16(len(m.SampleIDs)),
 		Bits:  bits,
 	})
-}
-
-// Close stops the device node, terminating any in-flight connections.
-func (d *Device) Close() error {
-	d.closeOnce.Do(func() {
-		if d.listener != nil {
-			d.listener.Close()
-		}
-		d.connMu.Lock()
-		d.closed = true
-		for conn := range d.conns {
-			conn.Close()
-		}
-		d.connMu.Unlock()
-	})
-	d.wg.Wait()
-	return nil
 }

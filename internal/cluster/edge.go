@@ -2,12 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,14 +53,10 @@ func DefaultEdgeConfig() EdgeConfig {
 // all sessions share one multiplexed link per cloud replica. The model
 // is frozen (read-only), so sessions classify in parallel goroutines.
 type Edge struct {
-	model  *core.Model
-	reg    *modelRegistry
-	cfg    EdgeConfig
-	logger *slog.Logger
+	node
 
-	// pool recycles session feature maps and forward tensors across
-	// classifications, keeping the steady-state handler allocation-free.
-	pool *tensor.Pool
+	model *core.Model
+	cfg   EdgeConfig
 
 	cloud *ReplicaPool // nil until ConnectCloud
 
@@ -78,19 +70,6 @@ type Edge struct {
 	// replica pool — reusing them there would collide across gateways
 	// and misroute verdicts.
 	nextUpstream atomic.Uint64
-
-	failed atomic.Bool
-	// active counts in-flight classifications (goroutines spawned by the
-	// connection handlers); Drain polls it to zero before tearing down.
-	active atomic.Int64
-
-	listener  net.Listener
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // NewEdge constructs the edge node around a trained edge-tier model.
@@ -104,15 +83,14 @@ func NewEdge(model *core.Model, cfg EdgeConfig, logger *slog.Logger) (*Edge, err
 	if cfg.CloudTimeout <= 0 {
 		cfg.CloudTimeout = DefaultEdgeConfig().CloudTimeout
 	}
-	return &Edge{
-		model:  model,
-		reg:    newModelRegistry(model, 1),
-		cfg:    cfg,
-		logger: logger.With("node", "edge"),
-		pool:   tensor.NewPool(),
-		Meter:  metrics.NewCommMeter(),
-		conns:  make(map[net.Conn]struct{}),
-	}, nil
+	e := &Edge{model: model, cfg: cfg, Meter: metrics.NewCommMeter()}
+	e.init("edge", logger.With("node", "edge"), newModelRegistry(model, 1), e.serve)
+	e.onClose = func() {
+		if e.cloud != nil {
+			e.cloud.close()
+		}
+	}
+	return e, nil
 }
 
 // ConnectCloud dials the upstream cloud replicas and pools them: edge
@@ -129,115 +107,26 @@ func (e *Edge) ConnectCloud(ctx context.Context, tr transport.Transport, addrs .
 	return nil
 }
 
-// Serve starts accepting gateway connections.
-func (e *Edge) Serve(tr transport.Transport, addr string) error {
-	l, err := tr.Listen(addr)
+// serve answers one gateway Escalation. The session computes on the
+// model its version pin resolved to, even if the node's active version
+// flips meanwhile.
+func (e *Edge) serve(send func(wire.Message) error, msg wire.Message) {
+	m, ok := msg.(*wire.Escalation)
+	if !ok {
+		_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected Escalation, got %v", msg.MsgType())})
+		return
+	}
+	model, _, err := e.reg.resolve(m.ModelVersion)
 	if err != nil {
-		return fmt.Errorf("cluster: edge: %w", err)
+		_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
+		return
 	}
-	e.listener = l
-	e.wg.Add(1)
-	go e.acceptLoop()
-	return nil
-}
-
-// Addr returns the listener's address; it is only valid after Serve.
-func (e *Edge) Addr() string {
-	if e.listener == nil {
-		return ""
+	feats, err := unpackEscalation(model, m, e.pool)
+	if err != nil {
+		_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
+		return
 	}
-	return e.listener.Addr().String()
-}
-
-// SetFailed toggles simulated failure: a failed edge node goes silent,
-// which the gateway observes as escalation timeouts.
-func (e *Edge) SetFailed(failed bool) { e.failed.Store(failed) }
-
-// Failed reports the simulated-failure state.
-func (e *Edge) Failed() bool { return e.failed.Load() }
-
-func (e *Edge) acceptLoop() {
-	defer e.wg.Done()
-	for {
-		conn, err := e.listener.Accept()
-		if err != nil {
-			return
-		}
-		e.connMu.Lock()
-		if e.closed {
-			e.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		e.conns[conn] = struct{}{}
-		e.connMu.Unlock()
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer func() {
-				conn.Close()
-				e.connMu.Lock()
-				delete(e.conns, conn)
-				e.connMu.Unlock()
-			}()
-			e.handle(conn)
-		}()
-	}
-}
-
-func (e *Edge) handle(conn net.Conn) {
-	var wmu sync.Mutex
-	send := func(m wire.Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := wire.Encode(conn, m)
-		return err
-	}
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	for {
-		msg, err := wire.Decode(conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				e.logger.Debug("decode error", "err", err)
-			}
-			return
-		}
-		if e.failed.Load() {
-			// A crashed edge goes silent; the gateway's escalation
-			// timeout handles the rest.
-			continue
-		}
-		switch m := msg.(type) {
-		case *wire.Heartbeat:
-			// Echo liveness probes for the gateway's failure detector.
-			if err := send(m); err != nil {
-				return
-			}
-		case *wire.Escalation:
-			// The session computes on the model its version pin resolved
-			// to, even if the node's active version flips meanwhile.
-			model, _, err := e.reg.resolve(m.ModelVersion)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
-				continue
-			}
-			feats, err := unpackEscalation(model, m, e.pool)
-			if err != nil {
-				_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
-				continue
-			}
-			inflight.Add(1)
-			e.active.Add(1)
-			go func() {
-				defer inflight.Done()
-				defer e.active.Add(-1)
-				e.classify(send, model, m, feats)
-			}()
-		default:
-			_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("expected Escalation, got %v", msg.MsgType())})
-		}
-	}
+	e.classify(send, model, m, feats)
 }
 
 // classify runs the edge stage for one escalation: samples sharing a
@@ -347,40 +236,4 @@ func (e *Edge) escalate(model *core.Model, esc *wire.Escalation, hard []int, edg
 	default:
 		return nil, fmt.Errorf("expected ResultBatch, got %v", reply.MsgType())
 	}
-}
-
-// Drain gracefully shuts the edge node down: it stops accepting new
-// connections immediately, then waits for in-flight classifications
-// (including their cloud escalations) to settle before tearing the node
-// down. Downstream gateways hold their connections open indefinitely, so
-// Drain waits on the classification counter, not on connection EOFs.
-// When the context expires first, the node is torn down anyway and the
-// context error is returned.
-func (e *Edge) Drain(ctx context.Context) error {
-	if e.listener != nil {
-		e.listener.Close()
-	}
-	err := awaitIdle(ctx, &e.active)
-	e.Close()
-	return err
-}
-
-// Close stops the edge node, terminating any in-flight connections.
-func (e *Edge) Close() error {
-	e.closeOnce.Do(func() {
-		if e.listener != nil {
-			e.listener.Close()
-		}
-		e.connMu.Lock()
-		e.closed = true
-		for conn := range e.conns {
-			conn.Close()
-		}
-		e.connMu.Unlock()
-		if e.cloud != nil {
-			e.cloud.close()
-		}
-	})
-	e.wg.Wait()
-	return nil
 }

@@ -228,23 +228,17 @@ func (e *Engine) endSession() { e.wg.Done() }
 // instead joins the collector's current batch and shares one
 // multi-sample session with other concurrent callers.
 func (e *Engine) Classify(ctx context.Context, sampleID uint64) (*Result, error) {
-	return e.ClassifyShed(ctx, sampleID, ShedNone)
+	return e.ClassifyTenantShed(ctx, sampleID, "", ShedNone)
 }
 
-// ClassifyShed is Classify over the exit pipeline tightened for a shed
-// level: an overloaded front door degrades answer quality (a cheaper
-// exit) instead of availability. Requests at different shed levels never
-// share a micro-batch, so a coalesced session's single pipeline stays
-// per-request accurate.
-func (e *Engine) ClassifyShed(ctx context.Context, sampleID uint64, level ShedLevel) (*Result, error) {
-	return e.ClassifyTenantShed(ctx, sampleID, "", level)
-}
-
-// ClassifyTenantShed is ClassifyShed under a tenant's exit-threshold
-// pipeline: the tenant (resolved at admission from the client identity)
-// picks the thresholds, the shed level tightens them. Requests for
-// different tenants never share a micro-batch. Unknown tenants — and
-// the empty tenant — run the engine's default pipeline.
+// ClassifyTenantShed is Classify under a tenant's exit-threshold
+// pipeline tightened for a shed level: the tenant (resolved at admission
+// from the client identity) picks the thresholds, and an overloaded
+// front door raises the shed level to degrade answer quality (a cheaper
+// exit) instead of availability. Requests for different tenants or shed
+// levels never share a micro-batch, so a coalesced session's single
+// pipeline stays per-request accurate. Unknown tenants — and the empty
+// tenant — run the engine's default pipeline.
 func (e *Engine) ClassifyTenantShed(ctx context.Context, sampleID uint64, tenant string, level ShedLevel) (*Result, error) {
 	if e.collector != nil {
 		return e.collector.classify(ctx, sampleID, tenant, level)
@@ -287,13 +281,7 @@ func (e *Engine) runBatch(ctx context.Context, sampleIDs []uint64, tenant string
 // failure are still filled in (nil entries mark samples that did not
 // complete).
 func (e *Engine) ClassifyBatch(ctx context.Context, sampleIDs []uint64) ([]*Result, error) {
-	return e.ClassifyBatchShed(ctx, sampleIDs, ShedNone)
-}
-
-// ClassifyBatchShed is ClassifyBatch over the exit pipeline tightened
-// for a shed level; see ClassifyShed.
-func (e *Engine) ClassifyBatchShed(ctx context.Context, sampleIDs []uint64, level ShedLevel) ([]*Result, error) {
-	return e.ClassifyBatchTenantShed(ctx, sampleIDs, "", level)
+	return e.ClassifyBatchTenantShed(ctx, sampleIDs, "", ShedNone)
 }
 
 // ClassifyBatchTenantShed is ClassifyBatch under a tenant's

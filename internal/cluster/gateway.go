@@ -135,13 +135,9 @@ type Gateway struct {
 	tenants       map[string]tenantEntry
 	closed        bool
 
-	// registration is the optional registration-plane listener started
-	// by ServeRegistration; guarded by regMu.
-	regMu        sync.Mutex
-	regListener  interface{ Close() error }
-	regConns     map[interface{ Close() error }]struct{}
-	regClosed    bool
-	regWaitGroup sync.WaitGroup
+	// registration is the registration plane's node, serving once
+	// ServeRegistration starts it.
+	registration node
 }
 
 // tenantEntry pairs a tenant's raw config with its resolved, validated
@@ -213,6 +209,7 @@ func NewGateway(ctx context.Context, model *core.Model, cfg GatewayConfig, tr tr
 		configVersion: 1,
 		tenants:       make(map[string]tenantEntry),
 	}
+	g.registration.init("registration plane", g.logger, nil, g.serveRegistration)
 	// All slots exist from construction; the ones without an address
 	// begin absent (nil link) and join later via registration.
 	g.devices = make([]*deviceLink, model.Cfg.Devices)
@@ -792,7 +789,7 @@ func (g *Gateway) setUpstreamReplicaDown(replica int, down bool) {
 // Close tears down all connections, including the registration plane
 // when one is serving.
 func (g *Gateway) Close() error {
-	g.closeRegistration()
+	g.registration.Close()
 	g.stateMu.Lock()
 	g.closed = true
 	var links []*link

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/transport"
@@ -25,156 +22,48 @@ const registrationDialTimeout = 5 * time.Second
 // capture/feature machinery is unchanged), installs the slot, and
 // answers with a DeviceWelcome carrying the new topology config
 // version; registration failures answer with a wire.Error. A goodbye
-// removes the slot and is acknowledged the same way. The listener runs
-// until the gateway closes.
+// removes the slot and is acknowledged the same way. Each hello or
+// goodbye is an independent request/reply served in its own goroutine,
+// like every other node frame, so a slow dial-back never holds up the
+// frames behind it. The plane runs until the gateway closes; starting
+// it after Close returns ErrClosed, and starting it twice is an error.
 func (g *Gateway) ServeRegistration(tr transport.Transport, addr string) error {
-	ln, err := tr.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("cluster: registration listen %s: %w", addr, err)
+	if err := g.registration.Serve(tr, addr); err != nil {
+		return err
 	}
-	g.regMu.Lock()
-	if g.regClosed {
-		g.regMu.Unlock()
-		ln.Close()
-		return ErrClosed
-	}
-	if g.regListener != nil {
-		g.regMu.Unlock()
-		ln.Close()
-		return fmt.Errorf("cluster: registration plane already serving")
-	}
-	g.regListener = ln
-	if g.regConns == nil {
-		g.regConns = make(map[interface{ Close() error }]struct{})
-	}
-	g.regWaitGroup.Add(1)
-	g.regMu.Unlock()
 	g.logger.Info("registration plane serving", "addr", addr)
-	go g.acceptRegistrations(ln)
 	return nil
 }
 
-// acceptRegistrations is the registration listener's accept loop.
-func (g *Gateway) acceptRegistrations(ln net.Listener) {
-	defer g.regWaitGroup.Done()
-	for {
-		conn, err := ln.Accept()
+// serveRegistration answers one registration-plane frame.
+func (g *Gateway) serveRegistration(send func(wire.Message) error, msg wire.Message) {
+	switch m := msg.(type) {
+	case *wire.DeviceHello:
+		ctx, cancel := context.WithTimeout(context.Background(), registrationDialTimeout)
+		v, err := g.AdmitDevice(ctx, int(m.Slot), m.Addr)
+		cancel()
 		if err != nil {
-			return // listener closed
-		}
-		g.regMu.Lock()
-		if g.regClosed {
-			g.regMu.Unlock()
-			conn.Close()
+			g.logger.Warn("registration rejected", "node", m.NodeID, "slot", m.Slot, "err", err)
+			code := uint16(400)
+			if errors.Is(err, ErrClosed) {
+				code = 503
+			}
+			_ = send(&wire.Error{Code: code, Msg: err.Error()})
 			return
 		}
-		g.regConns[conn] = struct{}{}
-		g.regWaitGroup.Add(1)
-		g.regMu.Unlock()
-		go func() {
-			defer g.regWaitGroup.Done()
-			g.handleRegistration(conn)
-			g.regMu.Lock()
-			delete(g.regConns, conn)
-			g.regMu.Unlock()
-		}()
-	}
-}
-
-// handleRegistration serves one registration connection: any number of
-// hello/goodbye exchanges (a device may register, later deregister, and
-// re-register over one connection or fresh ones — both work).
-func (g *Gateway) handleRegistration(conn net.Conn) {
-	defer conn.Close()
-	var wmu sync.Mutex
-	send := func(m wire.Message) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := wire.Encode(conn, m)
-		return err
-	}
-	for {
-		msg, err := wire.Decode(conn)
+		g.logger.Info("device registered", "node", m.NodeID, "slot", m.Slot, "tenant", m.Tenant, "config_version", v)
+		_ = send(&wire.DeviceWelcome{Slot: m.Slot, Devices: uint16(len(g.devices)), ConfigVersion: v})
+	case *wire.DeviceGoodbye:
+		v, err := g.RemoveDevice(int(m.Slot))
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !g.registrationClosed() {
-				g.logger.Warn("registration frame error", "err", err)
-			}
+			_ = send(&wire.Error{Code: 400, Msg: err.Error()})
 			return
 		}
-		switch m := msg.(type) {
-		case *wire.DeviceHello:
-			ctx, cancel := context.WithTimeout(context.Background(), registrationDialTimeout)
-			v, err := g.AdmitDevice(ctx, int(m.Slot), m.Addr)
-			cancel()
-			if err != nil {
-				g.logger.Warn("registration rejected", "node", m.NodeID, "slot", m.Slot, "err", err)
-				code := uint16(400)
-				if errors.Is(err, ErrClosed) {
-					code = 503
-				}
-				if send(&wire.Error{Code: code, Msg: err.Error()}) != nil {
-					return
-				}
-				continue
-			}
-			g.logger.Info("device registered", "node", m.NodeID, "slot", m.Slot, "tenant", m.Tenant, "config_version", v)
-			if send(&wire.DeviceWelcome{Slot: m.Slot, Devices: uint16(len(g.devices)), ConfigVersion: v}) != nil {
-				return
-			}
-		case *wire.DeviceGoodbye:
-			v, err := g.RemoveDevice(int(m.Slot))
-			if err != nil {
-				if send(&wire.Error{Code: 400, Msg: err.Error()}) != nil {
-					return
-				}
-				continue
-			}
-			g.logger.Info("device deregistered", "node", m.NodeID, "slot", m.Slot, "reason", m.Reason, "config_version", v)
-			if send(&wire.DeviceWelcome{Slot: m.Slot, Devices: uint16(len(g.devices)), ConfigVersion: v}) != nil {
-				return
-			}
-		case *wire.Heartbeat:
-			if send(m) != nil { // echo, same as the data-plane nodes
-				return
-			}
-		default:
-			if send(&wire.Error{Code: 400, Msg: fmt.Sprintf("unexpected %v on registration plane", msg.MsgType())}) != nil {
-				return
-			}
-		}
+		g.logger.Info("device deregistered", "node", m.NodeID, "slot", m.Slot, "reason", m.Reason, "config_version", v)
+		_ = send(&wire.DeviceWelcome{Slot: m.Slot, Devices: uint16(len(g.devices)), ConfigVersion: v})
+	default:
+		_ = send(&wire.Error{Session: sessionOf(msg), Code: 400, Msg: fmt.Sprintf("unexpected %v on registration plane", msg.MsgType())})
 	}
-}
-
-// registrationClosed reports whether the registration plane has shut down.
-func (g *Gateway) registrationClosed() bool {
-	g.regMu.Lock()
-	defer g.regMu.Unlock()
-	return g.regClosed
-}
-
-// closeRegistration tears the registration plane down and waits for its
-// handlers to drain.
-func (g *Gateway) closeRegistration() {
-	g.regMu.Lock()
-	if g.regClosed {
-		g.regMu.Unlock()
-		g.regWaitGroup.Wait()
-		return
-	}
-	g.regClosed = true
-	ln := g.regListener
-	conns := make([]interface{ Close() error }, 0, len(g.regConns))
-	for c := range g.regConns {
-		conns = append(conns, c)
-	}
-	g.regMu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	g.regWaitGroup.Wait()
 }
 
 // Register performs the device side of the registration handshake: it

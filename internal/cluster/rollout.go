@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"github.com/ddnn/ddnn-go/internal/core"
 	"github.com/ddnn/ddnn-go/internal/modelio"
@@ -150,10 +149,13 @@ func (e *Engine) RolloutModel(ctx context.Context, version uint64) error {
 
 	e.rolloutState.Store(rolloutRolling)
 
-	// Stage everywhere first: a session pinned to the new version by an
-	// already-flipped replica must resolve on nodes still serving the old
-	// active.
-	e.installEverywhere(version, next)
+	// Stage everywhere first, without activating anywhere: a session
+	// pinned to the new version by an already-flipped replica must
+	// resolve on nodes still serving the old active.
+	e.gw.reg.install(version, next)
+	for _, n := range e.sim.nodes() {
+		n.reg.install(version, next)
+	}
 
 	// The staged reference the canaries compare against: the engine's own
 	// copy of the new version over the held-out canary batch.
@@ -172,55 +174,20 @@ func (e *Engine) RolloutModel(ctx context.Context, version uint64) error {
 		return fmt.Errorf("%w: %w", ErrRolloutFailed, failErr)
 	}
 
-	// Flip the gateway (and engine) before refreshing the replicas: a
-	// replica hard-restarted mid-rollout seeds its registry from the
-	// gateway's under the sim lock, and the refresh loop re-fetches each
-	// slot under that same lock, so every restart/flip interleaving
-	// leaves the fleet on the new version.
+	// Flip the gateway (and engine) before the nodes, re-staging the
+	// version on each to catch replicas hard-restarted mid-rollout: a
+	// restarted replica seeds its registry from the gateway's under the
+	// sim lock, and nodes() re-fetches every slot under that same lock,
+	// so every restart/flip interleaving leaves the fleet on the new
+	// version.
 	e.reg.setActive(version)
 	e.gw.reg.setActive(version)
-	for _, d := range e.sim.Devices {
-		d.reg.setActive(version)
+	for _, n := range e.sim.nodes() {
+		n.reg.install(version, next)
+		n.reg.setActive(version)
 	}
-	e.refreshReplicas(version, next)
 	e.rolloutState.Store(rolloutIdle)
 	return nil
-}
-
-// refreshReplicas re-stages and re-activates a version on every upstream
-// replica, catching nodes that were hard-restarted mid-rollout.
-func (e *Engine) refreshReplicas(version uint64, m *core.Model) {
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			ed.reg.install(version, m)
-			ed.reg.setActive(version)
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			c.reg.install(version, m)
-			c.reg.setActive(version)
-		}
-	}
-}
-
-// installEverywhere stages a version in every node registry without
-// activating it anywhere.
-func (e *Engine) installEverywhere(version uint64, m *core.Model) {
-	for _, d := range e.sim.Devices {
-		d.reg.install(version, m)
-	}
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			ed.reg.install(version, m)
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			c.reg.install(version, m)
-		}
-	}
-	e.gw.reg.install(version, m)
 }
 
 // rollReplica fences, drains, flips and canaries one upstream replica.
@@ -230,26 +197,14 @@ func (e *Engine) rollReplica(ctx context.Context, tier wire.ExitPoint, i int, ve
 
 	// Re-fetch the replica after fencing: a chaos restart may have
 	// replaced the node since the rollout started.
-	var active *atomic.Int64
-	var reg *modelRegistry
-	switch tier {
-	case wire.ExitEdge:
-		ed := e.sim.EdgeReplica(i)
-		if ed == nil {
-			return fmt.Errorf("edge replica %d: gone", i)
-		}
-		active, reg = &ed.active, ed.reg
-	default:
-		c := e.sim.CloudReplica(i)
-		if c == nil {
-			return fmt.Errorf("cloud replica %d: gone", i)
-		}
-		active, reg = &c.active, c.reg
+	n := e.sim.replica(tier, i)
+	if n == nil {
+		return fmt.Errorf("%v replica %d: gone", tier, i)
 	}
 
 	// Drain: wait for the replica's in-flight classifications to settle.
 	// Fencing already diverts new sessions to the other replicas.
-	if err := awaitIdle(ctx, active); err != nil {
+	if err := n.awaitIdle(ctx); err != nil {
 		return fmt.Errorf("%v replica %d: drain: %w", tier, i, err)
 	}
 
@@ -257,16 +212,16 @@ func (e *Engine) rollReplica(ctx context.Context, tier wire.ExitPoint, i int, ve
 	// copy right before the flip — exactly the failure the canary exists
 	// to catch.
 	if bad := e.tamperFor(tier, i); bad != nil {
-		reg.install(version, bad)
+		n.reg.install(version, bad)
 	}
-	if err := reg.setActive(version); err != nil {
+	if err := n.reg.setActive(version); err != nil {
 		return fmt.Errorf("%v replica %d: activate: %w", tier, i, err)
 	}
 
 	// Canary: the replica's resolved copy of the new version must
 	// reproduce the staged reference bit-identically with finite
 	// probabilities before traffic returns.
-	m, _, err := reg.resolve(version)
+	m, _, err := n.reg.resolve(version)
 	if err != nil {
 		return fmt.Errorf("%v replica %d: canary resolve: %w", tier, i, err)
 	}
@@ -311,18 +266,8 @@ func (e *Engine) rollbackTo(prev, attempted uint64, good *core.Model) {
 	// gateway's registry.
 	e.reg.setActive(prev)
 	restore(e.gw.reg)
-	for _, d := range e.sim.Devices {
-		restore(d.reg)
-	}
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			restore(ed.reg)
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			restore(c.reg)
-		}
+	for _, n := range e.sim.nodes() {
+		restore(n.reg)
 	}
 }
 
@@ -338,23 +283,9 @@ func (e *Engine) VerifyModelConvergence() error {
 	if got := e.gw.reg.activeVersion(); got != want {
 		return fmt.Errorf("cluster: gateway active version %d, engine %d", got, want)
 	}
-	for i, d := range e.sim.Devices {
-		if got := d.reg.activeVersion(); got != want {
-			return fmt.Errorf("cluster: device %d active version %d, engine %d", i, got, want)
-		}
-	}
-	for i := 0; i < e.sim.edgeCount(); i++ {
-		if ed := e.sim.EdgeReplica(i); ed != nil {
-			if got := ed.reg.activeVersion(); got != want {
-				return fmt.Errorf("cluster: edge replica %d active version %d, engine %d", i, got, want)
-			}
-		}
-	}
-	for i := 0; i < e.sim.cloudCount(); i++ {
-		if c := e.sim.CloudReplica(i); c != nil {
-			if got := c.reg.activeVersion(); got != want {
-				return fmt.Errorf("cluster: cloud replica %d active version %d, engine %d", i, got, want)
-			}
+	for _, n := range e.sim.nodes() {
+		if got := n.reg.activeVersion(); got != want {
+			return fmt.Errorf("cluster: %s active version %d, engine %d", n.name, got, want)
 		}
 	}
 	return nil

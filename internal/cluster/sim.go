@@ -10,6 +10,7 @@ import (
 	"github.com/ddnn/ddnn-go/internal/dataset"
 	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
+	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
 // Topology sizes the replicated tiers of an in-process cluster. The zero
@@ -101,7 +102,10 @@ func NewSim(model *core.Model, ds *dataset.Dataset, cfg GatewayConfig, tr transp
 // instead.
 func NewReplicatedSim(model *core.Model, ds *dataset.Dataset, cfg GatewayConfig, topo Topology, tr transport.Transport, logger *slog.Logger) (*Sim, error) {
 	topo = topo.normalize()
-	s := &Sim{uploads: newUploadStore()}
+	s := &Sim{uploads: newUploadStore(), model: model, tr: tr, logger: logger, edgeCfg: DefaultEdgeConfig()}
+	if topo.Edge != nil {
+		s.edgeCfg = *topo.Edge
+	}
 	addrs := make([]string, model.Cfg.Devices)
 	for d := 0; d < model.Cfg.Devices; d++ {
 		dev := NewDevice(model, d, uploadFeed(s.uploads, DatasetFeed(ds, d), d), logger)
@@ -113,42 +117,32 @@ func NewReplicatedSim(model *core.Model, ds *dataset.Dataset, cfg GatewayConfig,
 		s.Devices = append(s.Devices, dev)
 		addrs[d] = addr
 	}
-	cloudAddrs := make([]string, topo.CloudReplicas)
-	for i := 0; i < topo.CloudReplicas; i++ {
-		cloud := NewCloud(model, logger)
-		cloudAddrs[i] = fmt.Sprintf("cloud-%d", i)
-		if err := cloud.Serve(tr, cloudAddrs[i]); err != nil {
+	s.cloudAddrs = make([]string, topo.CloudReplicas)
+	for i := range s.cloudAddrs {
+		s.cloudAddrs[i] = fmt.Sprintf("cloud-%d", i)
+		cloud, err := s.startCloud(i)
+		if err != nil {
 			s.Close()
 			return nil, err
 		}
 		s.Clouds = append(s.Clouds, cloud)
 	}
-	upstream := cloudAddrs
-	edgeCfg := DefaultEdgeConfig()
-	if topo.Edge != nil {
-		edgeCfg = *topo.Edge
-	}
-	s.edgeCfg = edgeCfg
+	upstream := s.cloudAddrs
 	if model.Cfg.UseEdge {
-		edgeAddrs := make([]string, topo.EdgeReplicas)
-		for i := 0; i < topo.EdgeReplicas; i++ {
-			edge, err := NewEdge(model, edgeCfg, logger)
+		upstream = make([]string, topo.EdgeReplicas)
+		for i := range upstream {
+			upstream[i] = fmt.Sprintf("edge-%d", i)
+			edge, err := s.newEdge(i)
 			if err != nil {
 				s.Close()
 				return nil, err
 			}
 			s.Edges = append(s.Edges, edge)
-			edgeAddrs[i] = fmt.Sprintf("edge-%d", i)
-			if err := edge.Serve(tr, edgeAddrs[i]); err != nil {
-				s.Close()
-				return nil, err
-			}
-			if err := edge.ConnectCloud(context.Background(), tr, cloudAddrs...); err != nil {
+			if err := edge.Serve(tr, upstream[i]); err != nil {
 				s.Close()
 				return nil, err
 			}
 		}
-		upstream = edgeAddrs
 	}
 	gw, err := NewGateway(context.Background(), model, cfg, tr, addrs, upstream, logger)
 	if err != nil {
@@ -158,11 +152,34 @@ func NewReplicatedSim(model *core.Model, ds *dataset.Dataset, cfg GatewayConfig,
 	s.Gateway = gw
 	s.addrs = addrs
 	s.upstreamAddrs = upstream
-	s.model = model
-	s.tr = tr
-	s.logger = logger
-	s.cloudAddrs = cloudAddrs
 	return s, nil
+}
+
+// startCloud starts cloud replica i on its address, seeded with the
+// fleet's model registry.
+func (s *Sim) startCloud(i int) (*Cloud, error) {
+	cloud := NewCloud(s.model, s.logger)
+	cloud.name = fmt.Sprintf("cloud replica %d", i)
+	s.adoptRegistry(cloud.reg)
+	if err := cloud.Serve(s.tr, s.cloudAddrs[i]); err != nil {
+		return nil, err
+	}
+	return cloud, nil
+}
+
+// newEdge builds edge replica i, seeded with the fleet's model registry
+// and connected to every cloud replica, but not yet serving.
+func (s *Sim) newEdge(i int) (*Edge, error) {
+	edge, err := NewEdge(s.model, s.edgeCfg, s.logger)
+	if err != nil {
+		return nil, err
+	}
+	edge.name = fmt.Sprintf("edge replica %d", i)
+	s.adoptRegistry(edge.reg)
+	if err := edge.ConnectCloud(context.Background(), s.tr, s.cloudAddrs...); err != nil {
+		return nil, err
+	}
+	return edge, nil
 }
 
 // DeviceAddrs returns the synthesized device addresses, in device order.
@@ -226,18 +243,44 @@ func (s *Sim) cloudCount() int {
 	return len(s.Clouds)
 }
 
+// nodes returns every serving node of the hierarchy — the devices, then
+// the current edge and cloud replicas — for fleet-wide registry
+// operations. Restarts may replace a replica right after the call.
+func (s *Sim) nodes() []*node {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*node, 0, len(s.Devices)+len(s.Edges)+len(s.Clouds))
+	for _, d := range s.Devices {
+		out = append(out, &d.node)
+	}
+	for _, e := range s.Edges {
+		out = append(out, &e.node)
+	}
+	for _, c := range s.Clouds {
+		out = append(out, &c.node)
+	}
+	return out
+}
+
+// replica returns the current node of an upstream tier's replica i, or
+// nil out of range.
+func (s *Sim) replica(tier wire.ExitPoint, i int) *node {
+	if tier == wire.ExitEdge {
+		if e := s.EdgeReplica(i); e != nil {
+			return &e.node
+		}
+	} else if c := s.CloudReplica(i); c != nil {
+		return &c.node
+	}
+	return nil
+}
+
 // setModelVersion rebases every node's model registry so the
 // construction model is known fleet-wide under version v instead of the
 // default 1. Called by NewEngine before traffic starts.
 func (s *Sim) setModelVersion(v uint64) {
-	for _, d := range s.Devices {
-		d.reg = newModelRegistry(s.model, v)
-	}
-	for _, e := range s.Edges {
-		e.reg = newModelRegistry(s.model, v)
-	}
-	for _, c := range s.Clouds {
-		c.reg = newModelRegistry(s.model, v)
+	for _, n := range s.nodes() {
+		n.reg = newModelRegistry(s.model, v)
 	}
 	s.Gateway.reg = newModelRegistry(s.model, v)
 }
@@ -269,9 +312,8 @@ func (s *Sim) RestartCloud(i int) error {
 		return fmt.Errorf("cluster: cloud replica %d out of range [0,%d)", i, len(s.Clouds))
 	}
 	s.Clouds[i].Close()
-	cloud := NewCloud(s.model, s.logger)
-	s.adoptRegistry(cloud.reg)
-	if err := cloud.Serve(s.tr, s.cloudAddrs[i]); err != nil {
+	cloud, err := s.startCloud(i)
+	if err != nil {
 		return fmt.Errorf("cluster: restart cloud %d: %w", i, err)
 	}
 	s.Clouds[i] = cloud
@@ -292,16 +334,13 @@ func (s *Sim) RestartEdge(i int) error {
 	if i < 0 || i >= len(s.Edges) {
 		return fmt.Errorf("cluster: edge replica %d out of range [0,%d)", i, len(s.Edges))
 	}
-	edge, err := NewEdge(s.model, s.edgeCfg, s.logger)
+	edge, err := s.newEdge(i)
 	if err != nil {
-		return fmt.Errorf("cluster: restart edge %d: %w", i, err)
-	}
-	s.adoptRegistry(edge.reg)
-	if err := edge.ConnectCloud(context.Background(), s.tr, s.cloudAddrs...); err != nil {
 		return fmt.Errorf("cluster: restart edge %d: %w", i, err)
 	}
 	s.Edges[i].Close()
 	if err := edge.Serve(s.tr, s.upstreamAddrs[i]); err != nil {
+		edge.Close()
 		return fmt.Errorf("cluster: restart edge %d: %w", i, err)
 	}
 	s.Edges[i] = edge

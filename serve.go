@@ -318,22 +318,13 @@ func (e *Engine) Classify(ctx context.Context, sampleID uint64) (Result, error) 
 	return *res, nil
 }
 
-// ClassifyShed is Classify over the exit pipeline tightened for a shed
-// level: under overload the caller trades answer quality (a cheaper
-// exit) for availability instead of queueing. ShedNone behaves exactly
-// like Classify. Requests at different shed levels never share a
-// micro-batch.
-func (e *Engine) ClassifyShed(ctx context.Context, sampleID uint64, level ShedLevel) (Result, error) {
-	res, err := e.inner.ClassifyShed(ctx, sampleID, level)
-	if err != nil {
-		return Result{}, err
-	}
-	return *res, nil
-}
-
-// ClassifyTenantShed is ClassifyShed under a tenant's exit-threshold
+// ClassifyTenantShed is Classify under a tenant's exit-threshold
 // pipeline: the tenant's TenantConfig (see SetTenant) picks the
-// thresholds, the shed level tightens them. Unknown tenants — and the
+// thresholds, the shed level tightens them. Under overload the caller
+// trades answer quality (a cheaper exit) for availability instead of
+// queueing; ShedNone with the empty tenant behaves exactly like
+// Classify. Requests at different shed levels never share a
+// micro-batch. Unknown tenants — and the
 // empty tenant — run the engine's default pipeline, so tenancy is
 // opt-in per client. Requests for different tenants never share a
 // micro-batch.
@@ -376,20 +367,6 @@ func (e *Engine) SetInstrumentation(in Instrumentation) {
 // indistinguishable from a real class-0 local exit).
 func (e *Engine) ClassifyBatch(ctx context.Context, sampleIDs []uint64) ([]Result, error) {
 	inner, err := e.inner.ClassifyBatch(ctx, sampleIDs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(inner))
-	for i, r := range inner {
-		out[i] = *r
-	}
-	return out, nil
-}
-
-// ClassifyBatchShed is ClassifyBatch over the exit pipeline tightened
-// for a shed level; see ClassifyShed.
-func (e *Engine) ClassifyBatchShed(ctx context.Context, sampleIDs []uint64, level ShedLevel) ([]Result, error) {
-	inner, err := e.inner.ClassifyBatchShed(ctx, sampleIDs, level)
 	if err != nil {
 		return nil, err
 	}
