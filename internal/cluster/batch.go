@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultMaxLinger is how long the collector holds a partial batch open
-// waiting for more Classify calls before flushing it.
+// for more Classify calls while one of its sessions is in flight.
 const DefaultMaxLinger = 2 * time.Millisecond
 
 // DefaultMaxBatch is a sensible micro-batch cap for callers that enable
@@ -19,20 +19,24 @@ const DefaultMaxLinger = 2 * time.Millisecond
 // per-session overhead.
 const DefaultMaxBatch = 32
 
-// BatchConfig tunes the engine's adaptive micro-batching: concurrent
-// Classify calls coalesce into one multi-sample session per tier, so
-// wire framing, im2col/conv dispatch and semaphore round trips amortize
-// across the batch. Batching trades a bounded amount of added latency
-// (at most MaxLinger on an idle engine) for substantially higher
-// throughput under load; results are bit-identical to single-sample
-// batches.
+// BatchConfig tunes the engine's work-conserving micro-batching:
+// concurrent Classify calls coalesce into one multi-sample session per
+// tier, so wire framing, im2col/conv dispatch and semaphore round trips
+// amortize across the batch. Batching only ever waits for work that is
+// already queued: a call that finds no collector session in flight
+// starts its session at once, so an idle engine adds no linger. Calls
+// that arrive while a session is in flight gather into the next batch,
+// which flushes when it is full, when that in-flight work finishes, or
+// after MaxLinger, whichever comes first. Results are bit-identical to
+// single-sample batches.
 type BatchConfig struct {
 	// MaxBatch caps the samples coalesced into one session. 0 and 1
 	// disable micro-batching; values above wire.MaxBatch (the largest
 	// batch one wire frame can carry) are clamped to it.
 	MaxBatch int
 	// MaxLinger bounds how long a partial batch waits for more callers
-	// before flushing. Zero means DefaultMaxLinger.
+	// while a collector session is in flight. Zero means
+	// DefaultMaxLinger.
 	MaxLinger time.Duration
 }
 
@@ -85,19 +89,25 @@ type batchLane struct {
 }
 
 // batchCollector coalesces concurrent Classify calls into multi-sample
-// gateway sessions, one lane per {tenant, shed level}: a lane's batch
-// flushes as soon as it reaches maxBatch samples, or maxLinger after
-// its first sample arrived, whichever comes first. Callers that cancel
-// while waiting detach immediately (the batch still classifies their
-// sample; the result is dropped).
+// gateway sessions, one lane per {tenant, shed level}. It is
+// work-conserving: while none of its sessions is in flight, a call's
+// lane flushes at once, so a lone request pays no linger. While one is,
+// calls gather on their lane, and the lane's batch flushes at the first
+// of: reaching maxBatch samples, maxLinger after its first sample
+// arrived, or the collector's last in-flight session finishing. Callers
+// that cancel while waiting detach immediately (the batch still
+// classifies their sample; the result is dropped).
 type batchCollector struct {
 	eng      *Engine
 	maxBatch int
 	linger   time.Duration
 
-	mu      sync.Mutex
-	lanes   map[laneKey]*batchLane
-	stopped bool
+	mu    sync.Mutex
+	lanes map[laneKey]*batchLane
+	// inflight counts this collector's sessions from flush until their
+	// goroutine returns, including the wait on the engine semaphore.
+	inflight int
+	stopped  bool
 }
 
 func newBatchCollector(e *Engine, cfg BatchConfig) *batchCollector {
@@ -135,7 +145,7 @@ func (c *batchCollector) classify(ctx context.Context, sampleID uint64, tenant s
 		c.lanes[key] = lane
 	}
 	lane.pending = append(lane.pending, item)
-	if len(lane.pending) >= c.maxBatch {
+	if c.inflight == 0 || len(lane.pending) >= c.maxBatch {
 		batch := c.takeLocked(lane)
 		c.mu.Unlock()
 		c.flush(batch, key)
@@ -154,8 +164,9 @@ func (c *batchCollector) classify(ctx context.Context, sampleID uint64, tenant s
 	}
 }
 
-// takeLocked detaches the lane's pending batch and advances its
-// generation; the caller must hold c.mu.
+// takeLocked detaches the lane's pending batch, advances its generation
+// and, for a non-empty batch, counts the session it is about to become
+// as in flight; the caller must hold c.mu and pass the batch to flush.
 func (c *batchCollector) takeLocked(lane *batchLane) []batchItem {
 	batch := lane.pending
 	lane.pending = nil
@@ -164,13 +175,17 @@ func (c *batchCollector) takeLocked(lane *batchLane) []batchItem {
 		lane.timer.Stop()
 		lane.timer = nil
 	}
+	if len(batch) > 0 {
+		c.inflight++
+	}
 	return batch
 }
 
 // flushAfterLinger is the linger-timer callback for the batch of
 // generation gen on one lane. If that batch was already flushed (full,
-// or taken by stop) the callback is stale and must leave the successor
-// batch — and its own fresh timer — alone.
+// taken when the in-flight work finished, or taken by stop) the callback
+// is stale and must leave the successor batch — and its own fresh timer
+// — alone.
 func (c *batchCollector) flushAfterLinger(key laneKey, gen uint64) {
 	c.mu.Lock()
 	lane := c.lanes[key]
@@ -183,10 +198,51 @@ func (c *batchCollector) flushAfterLinger(key laneKey, gen uint64) {
 	c.flush(batch, key)
 }
 
-// flush launches one multi-sample session for the batch under its
-// lane's tenant pipeline and shed level. The session is registered with
-// the engine's WaitGroup before flush returns, so Engine.Close cannot
-// complete while a flushed batch is starting.
+// sessionDone ends one in-flight collector session. When it was the
+// last, every lane's pending batch flushes now: nothing is left in
+// flight for it to wait behind.
+func (c *batchCollector) sessionDone() {
+	c.mu.Lock()
+	c.inflight--
+	if c.inflight > 0 {
+		c.mu.Unlock()
+		return
+	}
+	taken := c.takeAllLocked()
+	c.mu.Unlock()
+	c.flushAll(taken)
+}
+
+// takenBatch is one lane's detached batch awaiting flush.
+type takenBatch struct {
+	items []batchItem
+	key   laneKey
+}
+
+// takeAllLocked detaches every lane's pending batch; the caller must
+// hold c.mu and pass the result to flushAll.
+func (c *batchCollector) takeAllLocked() []takenBatch {
+	var taken []takenBatch
+	for key, lane := range c.lanes {
+		if len(lane.pending) > 0 {
+			taken = append(taken, takenBatch{items: c.takeLocked(lane), key: key})
+		}
+	}
+	return taken
+}
+
+// flushAll launches one session per batch detached by takeAllLocked.
+func (c *batchCollector) flushAll(taken []takenBatch) {
+	for _, t := range taken {
+		c.flush(t.items, t.key)
+	}
+}
+
+// flush launches one multi-sample session for a batch detached by
+// takeLocked, under its lane's tenant pipeline and shed level. The
+// session is registered with the engine's WaitGroup before flush
+// returns, so Engine.Close cannot complete while a flushed batch is
+// starting.
 func (c *batchCollector) flush(batch []batchItem, key laneKey) {
 	if len(batch) == 0 {
 		return
@@ -195,10 +251,15 @@ func (c *batchCollector) flush(batch []batchItem, key laneKey) {
 		for _, item := range batch {
 			item.ch <- batchOutcome{err: err}
 		}
+		c.sessionDone()
 		return
 	}
 	go func() {
+		// Deferred in reverse: the semaphore slot frees first, then
+		// sessionDone may flush the batches that gathered behind this
+		// one, and only then does the engine's WaitGroup release.
 		defer c.eng.endSession()
+		defer c.sessionDone()
 		c.eng.sem <- struct{}{}
 		defer func() { <-c.eng.sem }()
 		ids := make([]uint64, len(batch))
@@ -225,16 +286,7 @@ func (c *batchCollector) flush(batch []batchItem, key laneKey) {
 func (c *batchCollector) stop() {
 	c.mu.Lock()
 	c.stopped = true
-	type takenBatch struct {
-		items []batchItem
-		key   laneKey
-	}
-	var taken []takenBatch
-	for key, lane := range c.lanes {
-		taken = append(taken, takenBatch{items: c.takeLocked(lane), key: key})
-	}
+	taken := c.takeAllLocked()
 	c.mu.Unlock()
-	for _, t := range taken {
-		c.flush(t.items, t.key)
-	}
+	c.flushAll(taken)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/ddnn/ddnn-go/internal/core"
+	"github.com/ddnn/ddnn-go/internal/tensor"
 	"github.com/ddnn/ddnn-go/internal/transport"
 )
 
@@ -74,28 +75,204 @@ func TestBatchCollectorMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchCollectorLingerFlushesPartialBatch checks that a lone Classify
-// call on an idle batching engine is answered after at most roughly the
-// linger bound instead of waiting forever for the batch to fill.
-func TestBatchCollectorLingerFlushesPartialBatch(t *testing.T) {
+// heldSample gates one sample ID on every device feed of a gated
+// engine: a capture of that sample blocks until release is closed, so a
+// test can hold one collector session in flight.
+type heldSample struct {
+	id        uint64
+	entered   chan struct{} // closed when a device first reads the sample
+	enterOnce sync.Once
+	release   chan struct{}
+	open      sync.Once
+}
+
+// unblock opens the gate; it is safe to call more than once.
+func (h *heldSample) unblock() { h.open.Do(func() { close(h.release) }) }
+
+// newGatedEngine serves a two-tier cluster on an in-memory transport
+// whose device feeds hold sample heldID, behind a batching engine.
+func newGatedEngine(t *testing.T, batch BatchConfig, heldID uint64) (*Engine, *heldSample) {
+	t.Helper()
+	model, test := fixture(t)
+	tr := transport.NewMem()
+	held := &heldSample{id: heldID, entered: make(chan struct{}), release: make(chan struct{})}
+	addrs := make([]string, model.Cfg.Devices)
+	var nodes []interface{ Close() error }
+	for d := range addrs {
+		base := DatasetFeed(test, d)
+		feed := func(id uint64) (*tensor.Tensor, error) {
+			if id == held.id {
+				held.enterOnce.Do(func() { close(held.entered) })
+				<-held.release
+			}
+			return base(id)
+		}
+		dev := NewDevice(model, d, feed, quietLogger())
+		addrs[d] = fmt.Sprintf("gated-device-%d", d)
+		if err := dev.Serve(tr, addrs[d]); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, dev)
+	}
+	cloud := NewCloud(model, quietLogger())
+	if err := cloud.Serve(tr, "gated-cloud"); err != nil {
+		t.Fatal(err)
+	}
+	nodes = append(nodes, cloud)
+	gcfg := DefaultGatewayConfig()
+	gcfg.DeviceTimeout = time.Minute // the held capture must not time out
+	eng, err := AttachEngine(context.Background(), model, EngineConfig{
+		Gateway:        gcfg,
+		MaxConcurrency: 4,
+		Batch:          batch,
+		Logger:         quietLogger(),
+	}, tr, addrs, []string{"gated-cloud"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		held.unblock()
+		eng.Close()
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	return eng, held
+}
+
+// holdSession starts a Classify of the held sample and waits until its
+// session is in flight, blocked in the device feed. The returned channel
+// yields that call's error once the gate opens.
+func holdSession(t *testing.T, eng *Engine, held *heldSample) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Classify(context.Background(), held.id)
+		done <- err
+	}()
+	select {
+	case <-held.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("held session never reached the device feed")
+	}
+	return done
+}
+
+// pendingOn returns the number of samples queued on the default lane.
+func pendingOn(c *batchCollector) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if lane := c.lanes[laneKey{level: ShedNone}]; lane != nil {
+		return len(lane.pending)
+	}
+	return 0
+}
+
+// TestBatchCollectorIdleFlushesWithoutLinger pins the work-conserving
+// policy: a lone Classify on an idle batching engine starts its session
+// at once instead of lingering for company, so even a minute-long
+// linger bound adds nothing to it.
+func TestBatchCollectorIdleFlushesWithoutLinger(t *testing.T) {
 	model, test := fixture(t)
 	eng, err := NewEngine(model, test, EngineConfig{
 		Gateway: DefaultGatewayConfig(),
-		Batch:   BatchConfig{MaxBatch: 64, MaxLinger: 5 * time.Millisecond},
+		Batch:   BatchConfig{MaxBatch: 64, MaxLinger: time.Minute},
 		Logger:  quietLogger(),
 	}, transport.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	for id := uint64(0); id < 3; id++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		res, err := eng.Classify(ctx, id)
+		cancel()
+		if err != nil {
+			t.Fatalf("lone Classify of sample %d on an idle engine: %v", id, err)
+		}
+		if res.SampleID != id {
+			t.Errorf("got sample %d, want %d", res.SampleID, id)
+		}
+	}
+}
+
+// TestBatchCollectorCoalescesWhileBusy holds one collector session in
+// flight and checks that calls arriving meanwhile gather into one
+// batch, which flushes as soon as the held session finishes — long
+// before the minute-long linger bound.
+func TestBatchCollectorCoalescesWhileBusy(t *testing.T) {
+	const heldID, k = 0, 5
+	eng, held := newGatedEngine(t, BatchConfig{MaxBatch: 64, MaxLinger: time.Minute}, heldID)
+	heldDone := holdSession(t, eng, held)
+
+	type outcome struct {
+		id  uint64
+		res *Result
+		err error
+	}
+	outs := make(chan outcome, k)
+	for i := 1; i <= k; i++ {
+		go func(id uint64) {
+			res, err := eng.Classify(context.Background(), id)
+			outs <- outcome{id, res, err}
+		}(uint64(i))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for pendingOn(eng.collector) < k {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d calls queued behind the held session", pendingOn(eng.collector), k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := eng.gw.nextSession.Load()
+	held.unblock()
+	if err := <-heldDone; err != nil {
+		t.Fatalf("held session: %v", err)
+	}
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < k; i++ {
+		select {
+		case o := <-outs:
+			if o.err != nil {
+				t.Fatalf("sample %d: %v", o.id, o.err)
+			}
+			if o.res.SampleID != o.id {
+				t.Errorf("sample %d answered as %d", o.id, o.res.SampleID)
+			}
+		case <-timeout:
+			t.Fatalf("queued calls still waiting 10 s after the held session finished")
+		}
+	}
+	if n := eng.gw.nextSession.Load() - before; n != 1 {
+		t.Errorf("%d calls queued behind a busy engine ran as %d sessions, want 1", k, n)
+	}
+}
+
+// TestBatchCollectorLingerFlushesPartialBatch checks the linger bound
+// while a collector session is in flight: a call queued behind a
+// session that does not finish is answered after about MaxLinger, not
+// held until the busy session ends.
+func TestBatchCollectorLingerFlushesPartialBatch(t *testing.T) {
+	const heldID = 0
+	eng, held := newGatedEngine(t, BatchConfig{MaxBatch: 64, MaxLinger: 20 * time.Millisecond}, heldID)
+	heldDone := holdSession(t, eng, held)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := eng.Classify(ctx, 0)
+	res, err := eng.Classify(ctx, 1)
 	if err != nil {
-		t.Fatalf("lone batched Classify: %v", err)
+		t.Fatalf("Classify queued behind a held session: %v", err)
 	}
-	if res.SampleID != 0 {
-		t.Errorf("got sample %d, want 0", res.SampleID)
+	if res.SampleID != 1 {
+		t.Errorf("got sample %d, want 1", res.SampleID)
+	}
+	select {
+	case <-heldDone:
+		t.Fatal("held session finished early; the linger path was not exercised")
+	default:
+	}
+	held.unblock()
+	if err := <-heldDone; err != nil {
+		t.Fatalf("held session: %v", err)
 	}
 }
 

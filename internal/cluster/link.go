@@ -51,15 +51,17 @@ func (l *link) readLoop() {
 		if !ok {
 			continue // connection-scoped frame (heartbeat echo etc.)
 		}
+		// The hand-off happens under l.mu, so once unsubscribe has
+		// removed a waiter no late frame can land in its channel, and
+		// the channel can go back to the pool.
 		l.mu.Lock()
-		ch := l.waiters[s.SessionID()]
-		l.mu.Unlock()
-		if ch != nil {
+		if ch := l.waiters[s.SessionID()]; ch != nil {
 			select {
 			case ch <- msg:
 			default: // waiter already satisfied; drop
 			}
 		}
+		l.mu.Unlock()
 	}
 }
 
@@ -81,24 +83,38 @@ func (l *link) fail(err error) {
 	l.closeOnce.Do(func() { close(l.done) })
 }
 
+// replyChans recycles the one-frame reply channels of link waiters.
+var replyChans = sync.Pool{New: func() any { return make(chan wire.Message, 1) }}
+
 // subscribe registers a waiter for the session's frames. The returned
-// channel holds one frame; unsubscribe must be called when the session is
-// done with this link.
-func (l *link) subscribe(session uint64) (<-chan wire.Message, error) {
+// channel holds one frame; unsubscribe must be called with it when the
+// session is done with this link.
+func (l *link) subscribe(session uint64) (chan wire.Message, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
 		return nil, l.err
 	}
-	ch := make(chan wire.Message, 1)
+	ch := replyChans.Get().(chan wire.Message)
 	l.waiters[session] = ch
 	return ch, nil
 }
 
-func (l *link) unsubscribe(session uint64) {
+// unsubscribe removes the session's waiter and returns its channel to
+// the pool, first draining a reply that arrived after the waiter
+// stopped reading (a timed-out stage), so the next session to reuse the
+// channel receives only its own frame.
+func (l *link) unsubscribe(session uint64, ch chan wire.Message) {
 	l.mu.Lock()
-	delete(l.waiters, session)
+	if l.waiters[session] == ch {
+		delete(l.waiters, session)
+	}
 	l.mu.Unlock()
+	select {
+	case <-ch:
+	default:
+	}
+	replyChans.Put(ch)
 }
 
 // send writes one frame atomically with respect to other sessions. A
@@ -116,6 +132,32 @@ func (l *link) send(timeout time.Duration, m wire.Message) error {
 	return err
 }
 
+// stageTimers recycles wait's stage timers. A timer goes back stopped
+// and drained: under the asynchronous (buffered) timer channels that
+// go.mod's go 1.22 line selects, a timer that fired before Stop still
+// holds its tick, which would expire the next wait at once. The drain
+// is non-blocking, so it is also correct under the synchronous timer
+// channels of go 1.23 and later.
+var stageTimers sync.Pool
+
+func getStageTimer(d time.Duration) *time.Timer {
+	if t, ok := stageTimers.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func putStageTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	stageTimers.Put(t)
+}
+
 // wait blocks until the session's next frame, the timeout, the context, or
 // link failure. A positive timeout bounds this stage even when ctx has no
 // deadline; ctx cancellation and earlier ctx deadlines still win. A zero
@@ -125,8 +167,8 @@ func (l *link) send(timeout time.Duration, m wire.Message) error {
 func (l *link) wait(ctx context.Context, ch <-chan wire.Message, timeout time.Duration) (wire.Message, error) {
 	var timerC <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
+		timer := getStageTimer(timeout)
+		defer putStageTimer(timer)
 		timerC = timer.C
 	}
 	select {
@@ -150,7 +192,7 @@ func (l *link) request(ctx context.Context, session uint64, req wire.Message, ti
 	if err != nil {
 		return nil, fmt.Errorf("cluster: link failed: %w", err)
 	}
-	defer l.unsubscribe(session)
+	defer l.unsubscribe(session, ch)
 	if err := l.send(timeout, req); err != nil {
 		return nil, err
 	}

@@ -440,15 +440,7 @@ func (p *ReplicaPool) relayOn(ctx context.Context, r *replica, sid uint64, timeo
 	if lk == nil {
 		return nil, fmt.Errorf("%w: connection lost", errReplicaUnreachable)
 	}
-	ch, err := lk.subscribe(sid)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", errReplicaUnreachable, err)
-	}
-	defer lk.unsubscribe(sid)
-	if err := lk.send(timeout, frame); err != nil {
-		return nil, fmt.Errorf("%w: relay frame: %w", errReplicaUnreachable, err)
-	}
-	msg, err := lk.wait(ctx, ch, timeout)
+	msg, err := lk.request(ctx, sid, frame, timeout)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, ctxErr(cerr)

@@ -45,6 +45,28 @@ func readSampleIDs(src []byte) ([]uint64, []byte, error) {
 	return ids, src[8*n:], nil
 }
 
+// readUvarint decodes a uvarint, returning the rest. Truncated and
+// overflowing encodings are short payloads.
+func readUvarint(src []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(src)
+	if n <= 0 {
+		return 0, nil, ErrShortPayload
+	}
+	return v, src[n:], nil
+}
+
+// readSessionVersion decodes the uvarint Session and ModelVersion that
+// open every session-opening request frame, returning the rest.
+func readSessionVersion(src []byte) (session, version uint64, rest []byte, err error) {
+	if session, src, err = readUvarint(src); err != nil {
+		return 0, 0, nil, err
+	}
+	if version, src, err = readUvarint(src); err != nil {
+		return 0, 0, nil, err
+	}
+	return session, version, src, nil
+}
+
 // PackPresent bit-packs a presence vector for the batch frames: bit i of
 // the result marks sample i as present.
 func PackPresent(present []bool) []byte {
@@ -76,21 +98,21 @@ func (*CaptureBatch) MsgType() MsgType { return TypeCaptureBatch }
 func (m *CaptureBatch) SessionID() uint64 { return m.Session }
 
 func (m *CaptureBatch) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
+	dst = binary.AppendUvarint(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.ModelVersion)
 	return appendSampleIDs(dst, m.SampleIDs)
 }
 
 func (m *CaptureBatch) decodePayload(src []byte) error {
-	if len(src) < 16 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	ids, rest, err := readSampleIDs(src[16:])
+	session, version, src, err := readSessionVersion(src)
 	if err != nil {
 		return err
 	}
+	ids, rest, err := readSampleIDs(src)
+	if err != nil {
+		return err
+	}
+	m.Session, m.ModelVersion = session, version
 	if len(rest) != 0 {
 		return ErrShortPayload
 	}
@@ -142,7 +164,7 @@ func (m *SummaryBatch) PresentCount() int {
 }
 
 func (m *SummaryBatch) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Classes)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Count)
@@ -154,14 +176,18 @@ func (m *SummaryBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *SummaryBatch) decodePayload(src []byte) error {
-	if len(src) < 14 {
+	session, src, err := readUvarint(src)
+	if err != nil {
+		return err
+	}
+	if len(src) < 6 {
 		return ErrShortPayload
 	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.Device = binary.LittleEndian.Uint16(src[8:10])
-	m.Classes = binary.LittleEndian.Uint16(src[10:12])
-	m.Count = binary.LittleEndian.Uint16(src[12:14])
-	src = src[14:]
+	m.Session = session
+	m.Device = binary.LittleEndian.Uint16(src[0:2])
+	m.Classes = binary.LittleEndian.Uint16(src[2:4])
+	m.Count = binary.LittleEndian.Uint16(src[4:6])
+	src = src[6:]
 	pb := (int(m.Count) + 7) / 8
 	if len(src) < pb {
 		return ErrShortPayload
@@ -198,21 +224,21 @@ func (*FeatureBatchRequest) MsgType() MsgType { return TypeFeatureBatchRequest }
 func (m *FeatureBatchRequest) SessionID() uint64 { return m.Session }
 
 func (m *FeatureBatchRequest) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
+	dst = binary.AppendUvarint(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.ModelVersion)
 	return appendSampleIDs(dst, m.SampleIDs)
 }
 
 func (m *FeatureBatchRequest) decodePayload(src []byte) error {
-	if len(src) < 16 {
-		return ErrShortPayload
-	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	ids, rest, err := readSampleIDs(src[16:])
+	session, version, src, err := readSessionVersion(src)
 	if err != nil {
 		return err
 	}
+	ids, rest, err := readSampleIDs(src)
+	if err != nil {
+		return err
+	}
+	m.Session, m.ModelVersion = session, version
 	if len(rest) != 0 {
 		return ErrShortPayload
 	}
@@ -256,7 +282,7 @@ func (m *FeatureBatch) Sample(i int) []byte {
 }
 
 func (m *FeatureBatch) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
 	dst = binary.LittleEndian.AppendUint16(dst, m.F)
 	dst = binary.LittleEndian.AppendUint16(dst, m.H)
@@ -266,16 +292,20 @@ func (m *FeatureBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *FeatureBatch) decodePayload(src []byte) error {
-	if len(src) < 18 {
+	session, src, err := readUvarint(src)
+	if err != nil {
+		return err
+	}
+	if len(src) < 10 {
 		return ErrShortPayload
 	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.Device = binary.LittleEndian.Uint16(src[8:10])
-	m.F = binary.LittleEndian.Uint16(src[10:12])
-	m.H = binary.LittleEndian.Uint16(src[12:14])
-	m.W = binary.LittleEndian.Uint16(src[14:16])
-	m.Count = binary.LittleEndian.Uint16(src[16:18])
-	src = src[18:]
+	m.Session = session
+	m.Device = binary.LittleEndian.Uint16(src[0:2])
+	m.F = binary.LittleEndian.Uint16(src[2:4])
+	m.H = binary.LittleEndian.Uint16(src[4:6])
+	m.W = binary.LittleEndian.Uint16(src[6:8])
+	m.Count = binary.LittleEndian.Uint16(src[8:10])
+	src = src[10:]
 	want := int(m.Count) * m.SampleBytes()
 	if len(src) != want {
 		return fmt.Errorf("wire: feature batch has %d bytes for %d samples of %d×%d×%d bits (want %d)",
@@ -378,8 +408,8 @@ func (m *Escalation) PresentCount() int {
 }
 
 func (m *Escalation) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
+	dst = binary.AppendUvarint(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.ModelVersion)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Devices)
 	dst = binary.LittleEndian.AppendUint16(dst, m.F)
 	dst = binary.LittleEndian.AppendUint16(dst, m.H)
@@ -393,16 +423,19 @@ func (m *Escalation) appendPayload(dst []byte) []byte {
 }
 
 func (m *Escalation) decodePayload(src []byte) error {
-	if len(src) < 24 {
+	session, version, src, err := readSessionVersion(src)
+	if err != nil {
+		return err
+	}
+	if len(src) < 8 {
 		return ErrShortPayload
 	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	m.Devices = binary.LittleEndian.Uint16(src[16:18])
-	m.F = binary.LittleEndian.Uint16(src[18:20])
-	m.H = binary.LittleEndian.Uint16(src[20:22])
-	m.W = binary.LittleEndian.Uint16(src[22:24])
-	ids, masks, rest, err := readIDMaskPairs(src[24:])
+	m.Session, m.ModelVersion = session, version
+	m.Devices = binary.LittleEndian.Uint16(src[0:2])
+	m.F = binary.LittleEndian.Uint16(src[2:4])
+	m.H = binary.LittleEndian.Uint16(src[4:6])
+	m.W = binary.LittleEndian.Uint16(src[6:8])
+	ids, masks, rest, err := readIDMaskPairs(src[8:])
 	if err != nil {
 		return err
 	}
@@ -462,8 +495,8 @@ func (m *EdgeFeatureBatch) Sample(i int) []byte {
 }
 
 func (m *EdgeFeatureBatch) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint64(dst, m.ModelVersion)
+	dst = binary.AppendUvarint(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.ModelVersion)
 	dst = binary.LittleEndian.AppendUint16(dst, m.F)
 	dst = binary.LittleEndian.AppendUint16(dst, m.H)
 	dst = binary.LittleEndian.AppendUint16(dst, m.W)
@@ -472,15 +505,18 @@ func (m *EdgeFeatureBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *EdgeFeatureBatch) decodePayload(src []byte) error {
-	if len(src) < 22 {
+	session, version, src, err := readSessionVersion(src)
+	if err != nil {
+		return err
+	}
+	if len(src) < 6 {
 		return ErrShortPayload
 	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.ModelVersion = binary.LittleEndian.Uint64(src[8:16])
-	m.F = binary.LittleEndian.Uint16(src[16:18])
-	m.H = binary.LittleEndian.Uint16(src[18:20])
-	m.W = binary.LittleEndian.Uint16(src[20:22])
-	ids, rest, err := readSampleIDs(src[22:])
+	m.Session, m.ModelVersion = session, version
+	m.F = binary.LittleEndian.Uint16(src[0:2])
+	m.H = binary.LittleEndian.Uint16(src[2:4])
+	m.W = binary.LittleEndian.Uint16(src[4:6])
+	ids, rest, err := readSampleIDs(src[6:])
 	if err != nil {
 		return err
 	}
@@ -524,7 +560,7 @@ func (*ResultBatch) MsgType() MsgType { return TypeResultBatch }
 func (m *ResultBatch) SessionID() uint64 { return m.Session }
 
 func (m *ResultBatch) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Verdicts)))
 	for _, v := range m.Verdicts {
 		dst = binary.LittleEndian.AppendUint64(dst, v.SampleID)
@@ -539,12 +575,16 @@ func (m *ResultBatch) appendPayload(dst []byte) []byte {
 }
 
 func (m *ResultBatch) decodePayload(src []byte) error {
-	if len(src) < 10 {
+	session, src, err := readUvarint(src)
+	if err != nil {
+		return err
+	}
+	if len(src) < 2 {
 		return ErrShortPayload
 	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	n := int(binary.LittleEndian.Uint16(src[8:10]))
-	src = src[10:]
+	m.Session = session
+	n := int(binary.LittleEndian.Uint16(src[0:2]))
+	src = src[2:]
 	m.Verdicts = make([]BatchVerdict, 0, n)
 	for i := 0; i < n; i++ {
 		if len(src) < 13 {

@@ -21,8 +21,9 @@ func encodeFrame(tb testing.TB, m Message) []byte {
 // seedMessages covers every message type of the protocol, so the fuzz
 // corpus starts from one valid frame per decoder path: each batch frame
 // appears as a batch of one — the shape every single-sample session
-// takes — and as a multi-sample batch. gen_corpus.go mirrors this list
-// into the committed seed corpus.
+// takes — and as a multi-sample batch — and the uvarint Session and
+// ModelVersion fields appear at their 1-, 2-, 3- and 10-byte widths.
+// gen_corpus.go mirrors this list into the committed seed corpus.
 func seedMessages() []Message {
 	return []Message{
 		&Hello{NodeID: "device-3", Role: RoleDevice, Device: 3},
@@ -59,6 +60,12 @@ func seedMessages() []Message {
 		&DeviceHello{NodeID: "device-4", Slot: 4, Tenant: "tenant-a", Addr: "127.0.0.1:9104"},
 		&DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17},
 		&DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"},
+		&CaptureBatch{Session: 127, ModelVersion: 128, SampleIDs: []uint64{1 << 63}},
+		&SummaryBatch{Session: 1 << 63, Device: 5, Classes: 3, Count: 1,
+			Present: PackPresent([]bool{true}), Probs: []float32{0.2, 0.3, 0.5}},
+		&Error{Session: math.MaxUint64, Code: 503, Msg: "cloud unreachable"},
+		&Escalation{Session: 1 << 14, ModelVersion: math.MaxUint64, Devices: 2, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{1<<63 + 1}, Masks: []uint16{0b11}, Bits: make([]byte, 2*2)},
 	}
 }
 
@@ -80,6 +87,10 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x17, 0xDD, Version, byte(TypeHeartbeat), 0xFF, 0xFF, 0xFF, 0x7F})
+	// A truncated and an overflowing uvarint session tag.
+	f.Add([]byte{0x17, 0xDD, Version, byte(TypeCaptureBatch), 2, 0, 0, 0, 0xFF, 0xFF})
+	f.Add([]byte{0x17, 0xDD, Version, byte(TypeResultBatch), 13, 0, 0, 0,
+		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(bytes.NewReader(data))
 		if err != nil {

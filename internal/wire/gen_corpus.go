@@ -11,7 +11,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -27,6 +29,16 @@ func frame(m wire.Message) []byte {
 	return buf.Bytes()
 }
 
+// rawFrame frames an arbitrary payload under a valid header, so a
+// corrupt payload reaches the type's decoder instead of failing the
+// header read.
+func rawFrame(t wire.MsgType, payload []byte) []byte {
+	hdr := []byte{0, 0, wire.Version, byte(t), 0, 0, 0, 0}
+	binary.LittleEndian.PutUint16(hdr[0:2], wire.Magic)
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	return append(hdr, payload...)
+}
+
 func main() {
 	summary := frame(&wire.SummaryBatch{Session: 17, Device: 1, Classes: 3, Count: 1,
 		Present: wire.PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}})
@@ -35,12 +47,20 @@ func main() {
 	oversize := append([]byte(nil), frame(&wire.Heartbeat{NodeID: "edge-0", Seq: 12345})[:8]...)
 	oversize[4], oversize[5], oversize[6], oversize[7] = 0xFF, 0xFF, 0xFF, 0x7F
 
+	// Uvarint edge cases for the Session tag and ModelVersion pin: a
+	// session whose varint stops one byte short, and one that runs to 11
+	// bytes and overflows uint64.
+	varintTruncated := rawFrame(wire.TypeCaptureBatch, []byte{0xFF, 0xFF})
+	varintOverflow := rawFrame(wire.TypeResultBatch,
+		[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0})
+
 	// One seed per entry of seedMessages() in fuzz_test.go, in the same
 	// order: the per-sample protocol roles (capture, local summary,
 	// feature request and upload, cloud and edge classify, edge feature,
-	// classify result) keep their seed names as batch-of-one frames, and
-	// the multi-sample batches follow. The corruptions are named so the
-	// wire tests know to skip them (badtype, truncated, oversize, empty).
+	// classify result) keep their seed names as batch-of-one frames, the
+	// multi-sample batches follow, then the uvarint edge cases. The
+	// corruptions are named so the wire tests know to skip them (badtype,
+	// truncated, overflow, oversize, empty).
 	seeds := map[string][]byte{
 		"seed-hello":                   frame(&wire.Hello{NodeID: "device-3", Role: wire.RoleDevice, Device: 3}),
 		"seed-local-summary":           summary,
@@ -75,11 +95,19 @@ func main() {
 			{SampleID: 5, Exit: wire.ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
 			{SampleID: 6, Exit: wire.ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}},
 		}}),
-		"seed-device-hello":    frame(&wire.DeviceHello{NodeID: "device-4", Slot: 4, Tenant: "tenant-a", Addr: "127.0.0.1:9104"}),
-		"seed-device-welcome":  frame(&wire.DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17}),
-		"seed-device-goodbye":  frame(&wire.DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"}),
-		"seed-empty":           {},
-		"seed-oversize-header": oversize,
+		"seed-device-hello":   frame(&wire.DeviceHello{NodeID: "device-4", Slot: 4, Tenant: "tenant-a", Addr: "127.0.0.1:9104"}),
+		"seed-device-welcome": frame(&wire.DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17}),
+		"seed-device-goodbye": frame(&wire.DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"}),
+		"seed-varint-capture": frame(&wire.CaptureBatch{Session: 127, ModelVersion: 128, SampleIDs: []uint64{1 << 63}}),
+		"seed-varint-summary": frame(&wire.SummaryBatch{Session: 1 << 63, Device: 5, Classes: 3, Count: 1,
+			Present: wire.PackPresent([]bool{true}), Probs: []float32{0.2, 0.3, 0.5}}),
+		"seed-varint-error": frame(&wire.Error{Session: math.MaxUint64, Code: 503, Msg: "cloud unreachable"}),
+		"seed-varint-escalation": frame(&wire.Escalation{Session: 1 << 14, ModelVersion: math.MaxUint64, Devices: 2, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{1<<63 + 1}, Masks: []uint16{0b11}, Bits: make([]byte, 2*2)}),
+		"seed-varint-truncated": varintTruncated,
+		"seed-varint-overflow":  varintOverflow,
+		"seed-empty":            {},
+		"seed-oversize-header":  oversize,
 	}
 
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")

@@ -142,18 +142,22 @@ func (*Error) MsgType() MsgType { return TypeError }
 func (m *Error) SessionID() uint64 { return m.Session }
 
 func (m *Error) appendPayload(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, m.Session)
+	dst = binary.AppendUvarint(dst, m.Session)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Code)
 	return appendString(dst, m.Msg)
 }
 
 func (m *Error) decodePayload(src []byte) error {
-	if len(src) < 10 {
+	session, src, err := readUvarint(src)
+	if err != nil {
+		return err
+	}
+	if len(src) < 2 {
 		return ErrShortPayload
 	}
-	m.Session = binary.LittleEndian.Uint64(src[0:8])
-	m.Code = binary.LittleEndian.Uint16(src[8:10])
-	s, rest, err := readString(src[10:])
+	m.Session = session
+	m.Code = binary.LittleEndian.Uint16(src[0:2])
+	s, rest, err := readString(src[2:])
 	if err != nil {
 		return err
 	}

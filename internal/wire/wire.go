@@ -3,7 +3,7 @@
 // the cloud). Frames are length-prefixed with a fixed header:
 //
 //	magic   uint16  0xDD17 ("DDNN ICDCS'17")
-//	version uint8   4
+//	version uint8   5
 //	type    uint8   message type
 //	length  uint32  payload length in bytes
 //
@@ -30,7 +30,11 @@
 // reload is answered by one model version at every hop (0 pins nothing and
 // means "the responder's active version"). Version 4 retired the
 // per-sample frames and folded the upstream escalation header and its
-// per-device feature frames into the single Escalation frame.
+// per-device feature frames into the single Escalation frame. Version 5
+// encodes every frame's Session tag and ModelVersion pin as uvarints
+// (encoding/binary's AppendUvarint), so the framing of a one-sample
+// session shrinks while sample IDs and every Eq. 1 payload keep their
+// fixed widths.
 package wire
 
 import (
@@ -48,8 +52,9 @@ const Magic uint16 = 0xDD17
 // the Session tag that multiplexes concurrent inference sessions over one
 // connection; version 3 added the model-version pin on every serving-path
 // request (rolling model reloads); version 4 made every session a batch
-// and the upstream escalation a single frame.
-const Version uint8 = 4
+// and the upstream escalation a single frame; version 5 encodes the
+// Session tag and ModelVersion pin as uvarints.
+const Version uint8 = 5
 
 // MaxPayload bounds frame payloads to guard against corrupt or hostile
 // length fields. Feature maps in this system are tiny; 16 MiB is generous.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -377,7 +378,7 @@ func TestRetiredMessageTypesAreUnknown(t *testing.T) {
 
 // corruptSeeds names the committed FuzzDecode seeds that are corrupt on
 // purpose; every other seed must be a valid frame.
-var corruptSeeds = []string{"badtype", "truncated", "oversize", "empty"}
+var corruptSeeds = []string{"badtype", "truncated", "overflow", "oversize", "empty"}
 
 func TestCommittedCorpusDecodes(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
@@ -415,6 +416,92 @@ func TestCommittedCorpusDecodes(t *testing.T) {
 	for _, m := range seedMessages() {
 		if !covered[m.MsgType()] {
 			t.Errorf("committed corpus has no seed of type %v", m.MsgType())
+		}
+	}
+}
+
+// sessionVarintEdges are the uvarint boundary values of the Session tag
+// and ModelVersion pin: the 1-byte maximum, the first 2-byte value, the
+// top bit alone and the 10-byte maximum.
+var sessionVarintEdges = []uint64{0, 127, 128, 1 << 63, math.MaxUint64}
+
+// sessionedAt returns one frame of every session-scoped type tagged
+// with session v and, where the frame pins one, model version v.
+func sessionedAt(v uint64) []Message {
+	return []Message{
+		&CaptureBatch{Session: v, ModelVersion: v, SampleIDs: []uint64{1 << 63}},
+		&SummaryBatch{Session: v, Device: 1, Classes: 3, Count: 1,
+			Present: PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}},
+		&FeatureBatchRequest{Session: v, ModelVersion: v, SampleIDs: []uint64{99}},
+		&FeatureBatch{Session: v, Device: 2, F: 1, H: 4, W: 4, Count: 1, Bits: []byte{0xAB, 0xCD}},
+		&Escalation{Session: v, ModelVersion: v, Devices: 2, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{8}, Masks: []uint16{0b11}, Thresholds: []float64{0.5}, Bits: make([]byte, 4)},
+		&EdgeFeatureBatch{Session: v, ModelVersion: v, F: 1, H: 4, W: 4, SampleIDs: []uint64{21}, Bits: make([]byte, 2)},
+		&ResultBatch{Session: v, Verdicts: []BatchVerdict{{SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.1, 0.9}}}},
+		&Error{Session: v, Code: 426, Msg: "unknown model version"},
+	}
+}
+
+func TestSessionVarintRoundTrip(t *testing.T) {
+	for _, v := range sessionVarintEdges {
+		for _, m := range sessionedAt(v) {
+			got := roundTrip(t, m)
+			if !reflect.DeepEqual(got, m) {
+				t.Errorf("%v at session/version %d: round trip = %+v, want %+v", m.MsgType(), v, got, m)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsBadVarint cuts every session-scoped frame inside its
+// 10-byte Session varint, and for the frames that pin a model version
+// inside the ModelVersion varint too, then replaces the Session with an
+// 11-byte encoding: each must fail as a short payload, never decode.
+func TestDecodeRejectsBadVarint(t *testing.T) {
+	overflow := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}
+	for _, m := range sessionedAt(math.MaxUint64) {
+		payload := encodeFrame(t, m)[headerSize:]
+		cuts := []int{0, 5, 9}
+		switch m.(type) {
+		case *CaptureBatch, *FeatureBatchRequest, *Escalation, *EdgeFeatureBatch:
+			cuts = append(cuts, 15, 19) // inside the ModelVersion varint
+		}
+		bad := map[string][]byte{"overflow": append(append([]byte(nil), overflow...), payload[10:]...)}
+		for _, c := range cuts {
+			bad["truncated at "+strconv.Itoa(c)] = payload[:c]
+		}
+		for name, p := range bad {
+			frame := encodeFrame(t, m)[:headerSize]
+			frame = append(frame, p...)
+			frame[4], frame[5], frame[6], frame[7] = byte(len(p)), byte(len(p)>>8), 0, 0
+			if _, err := Decode(bytes.NewReader(frame)); !errors.Is(err, ErrShortPayload) {
+				t.Errorf("%v %s: err = %v, want ErrShortPayload", m.MsgType(), name, err)
+			}
+		}
+	}
+}
+
+// TestOneSampleFrameBytes pins the framed size of a one-sample session's
+// device-link frames — the shape every idle-engine Classify takes — for
+// a session tag below 2^14 and a model version below 128: 21 B capture,
+// 29 B summary (3 classes), 21 B feature request and 148 B feature
+// upload (4 filters of 16×16 bits). Wire v4 spent 34/35/34/154 B; the
+// Eq. 1 payload inside each frame is unchanged.
+func TestOneSampleFrameBytes(t *testing.T) {
+	for _, sid := range []uint64{128, 1<<14 - 1} {
+		for _, tc := range []struct {
+			msg  Message
+			want int
+		}{
+			{&CaptureBatch{Session: sid, ModelVersion: 127, SampleIDs: []uint64{1 << 63}}, 21},
+			{&SummaryBatch{Session: sid, Device: 5, Classes: 3, Count: 1,
+				Present: PackPresent([]bool{true}), Probs: make([]float32, 3)}, 29},
+			{&FeatureBatchRequest{Session: sid, ModelVersion: 127, SampleIDs: []uint64{1 << 63}}, 21},
+			{&FeatureBatch{Session: sid, Device: 5, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 128)}, 148},
+		} {
+			if got := EncodedSize(tc.msg); got != tc.want {
+				t.Errorf("%v at session %d: %d B, want %d", tc.msg.MsgType(), sid, got, tc.want)
+			}
 		}
 	}
 }

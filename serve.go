@@ -214,15 +214,18 @@ func WithWorkers(n int) Option {
 	return func(o *engineOptions) { o.cfg.Workers = n }
 }
 
-// WithBatching enables adaptive cross-session micro-batching: concurrent
-// Classify calls coalesce into one multi-sample session per tier — one
-// capture round trip per device, one batched escalation for the samples
-// that miss the local exit — so wire framing and conv/GEMM dispatch
-// amortize across up to maxBatch samples. A partial batch flushes after
-// linger (<= 0 means the 2 ms default), which is the latency an isolated
-// request can pay in exchange for load throughput; results are
-// bit-identical to single-sample batches. maxBatch <= 1 disables batching.
-// ClassifyBatch chunks its IDs into maxBatch-sized sessions directly.
+// WithBatching enables work-conserving cross-session micro-batching:
+// concurrent Classify calls coalesce into one multi-sample session per
+// tier — one capture round trip per device, one batched escalation for
+// the samples that miss the local exit — so wire framing and conv/GEMM
+// dispatch amortize across up to maxBatch samples. An idle engine adds
+// no linger: a call that finds no batched session in flight starts its
+// session at once. Calls arriving while one is in flight form the next
+// batch, which flushes when full, when the in-flight work finishes, or
+// after linger (<= 0 means the 2 ms default), whichever is first;
+// results are bit-identical to single-sample batches. maxBatch <= 1
+// disables batching. ClassifyBatch chunks its IDs into maxBatch-sized
+// sessions directly.
 func WithBatching(maxBatch int, linger time.Duration) Option {
 	return func(o *engineOptions) {
 		o.cfg.Batch = cluster.BatchConfig{MaxBatch: maxBatch, MaxLinger: linger}
