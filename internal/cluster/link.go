@@ -132,12 +132,14 @@ func (l *link) send(timeout time.Duration, m wire.Message) error {
 	return err
 }
 
-// stageTimers recycles wait's stage timers. A timer goes back stopped
-// and drained: under the asynchronous (buffered) timer channels that
-// go.mod's go 1.22 line selects, a timer that fired before Stop still
-// holds its tick, which would expire the next wait at once. The drain
-// is non-blocking, so it is also correct under the synchronous timer
-// channels of go 1.23 and later.
+// stageTimers recycles wait's stage timers. A timer may go back only
+// when no tick can still reach its channel: Stop stopped it before it
+// fired, or wait received its tick. A timer that fired unread is
+// dropped instead. Under the asynchronous timer channels that go.mod's
+// go 1.22 line selects, the runtime marks a firing timer stopped before
+// it sends the tick, so Stop can return false while the tick is still
+// on its way; no drain can tell that tick from one that will never come
+// (synchronous channels, go 1.23 and later), so none is attempted.
 var stageTimers sync.Pool
 
 func getStageTimer(d time.Duration) *time.Timer {
@@ -148,14 +150,12 @@ func getStageTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
-func putStageTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
+// putStageTimer stops t and pools it if no tick can be pending; fired
+// reports whether the caller received t's tick.
+func putStageTimer(t *time.Timer, fired bool) {
+	if t.Stop() || fired {
+		stageTimers.Put(t)
 	}
-	stageTimers.Put(t)
 }
 
 // wait blocks until the session's next frame, the timeout, the context, or
@@ -166,15 +166,17 @@ func putStageTimer(t *time.Timer) {
 // "no per-stage timeout", not "always time out").
 func (l *link) wait(ctx context.Context, ch <-chan wire.Message, timeout time.Duration) (wire.Message, error) {
 	var timerC <-chan time.Time
+	fired := false // wait received the stage timer's tick
 	if timeout > 0 {
 		timer := getStageTimer(timeout)
-		defer putStageTimer(timer)
+		defer func() { putStageTimer(timer, fired) }()
 		timerC = timer.C
 	}
 	select {
 	case msg := <-ch:
 		return msg, nil
 	case <-timerC:
+		fired = true
 		return nil, fmt.Errorf("cluster: %w after %v", ErrDeadlineExceeded, timeout)
 	case <-ctx.Done():
 		return nil, ctxErr(ctx.Err())

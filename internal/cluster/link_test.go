@@ -138,9 +138,9 @@ func TestLinkLateReplyNeverReachesNextSession(t *testing.T) {
 	}
 }
 
-// TestLinkWaitTimerReuse checks the pooled stage timers: a timer that
-// fired — whether or not its wait read the tick — goes back to the pool
-// drained, so the next wait with a long timeout does not expire at once.
+// TestLinkWaitTimerReuse checks the pooled stage timers: after a wait
+// that timed out, and after a timer that fired unread, the next wait
+// with a long timeout does not expire at once.
 func TestLinkWaitTimerReuse(t *testing.T) {
 	lk, _ := newLinkPair(t)
 	ch, err := lk.subscribe(1)
@@ -152,16 +152,11 @@ func TestLinkWaitTimerReuse(t *testing.T) {
 		if _, err := lk.wait(context.Background(), ch, time.Millisecond); !errors.Is(err, ErrDeadlineExceeded) {
 			t.Fatalf("short wait: err = %v, want ErrDeadlineExceeded", err)
 		}
-		// A timer that fires while nobody reads it must come back
-		// drained too.
+		// A timer that fired while nobody read it must not come back
+		// from the pool.
 		timer := getStageTimer(time.Millisecond)
 		time.Sleep(5 * time.Millisecond)
-		putStageTimer(timer)
-		select {
-		case <-timer.C:
-			t.Fatal("pooled stage timer still holds a tick")
-		default:
-		}
+		putStageTimer(timer, false)
 
 		const hold = 30 * time.Millisecond
 		ctx, cancel := context.WithCancel(context.Background())
@@ -174,5 +169,35 @@ func TestLinkWaitTimerReuse(t *testing.T) {
 		if d := time.Since(start); d < hold {
 			t.Fatalf("long wait returned after %v, before its context was canceled", d)
 		}
+	}
+}
+
+// TestLinkStageTimerNeverPooledWithTick races a stage timer's expiry against
+// putStageTimer. A timer that fires just as it is put back can have its
+// tick still on the way after Stop returns false; such a timer must not
+// be reused, or the next stage would see that tick and time out at once.
+func TestLinkStageTimerNeverPooledWithTick(t *testing.T) {
+	iters := 5000
+	if testing.Short() {
+		iters = 1000
+	}
+	spin := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	for i := 0; i < iters; i++ {
+		d := time.Duration(i%40) * time.Microsecond
+		timer := getStageTimer(d)
+		spin(d)
+		putStageTimer(timer, false)
+
+		next := getStageTimer(time.Hour)
+		spin(20 * time.Microsecond) // let an in-flight tick land
+		select {
+		case <-next.C:
+			t.Fatalf("iteration %d: a one-hour stage timer ticked at once", i)
+		default:
+		}
+		putStageTimer(next, false)
 	}
 }

@@ -483,12 +483,19 @@ func TestDecodeRejectsBadVarint(t *testing.T) {
 
 // TestOneSampleFrameBytes pins the framed size of a one-sample session's
 // device-link frames — the shape every idle-engine Classify takes — for
-// a session tag below 2^14 and a model version below 128: 21 B capture,
-// 29 B summary (3 classes), 21 B feature request and 148 B feature
-// upload (4 filters of 16×16 bits). Wire v4 spent 34/35/34/154 B; the
-// Eq. 1 payload inside each frame is unchanged.
+// a model version below 128: 21 B capture, 29 B summary (3 classes),
+// 21 B feature request and 148 B feature upload (4 filters of 16×16
+// bits) while the session tag is below 2^14. Each frame carries one
+// session tag, so every later varint byte adds 1 B to each frame: a
+// gateway's session counter passes 2^14 after its first 16384 sessions
+// and 2^21 after about two million. Wire v4 spent 34/35/34/154 B at any
+// session; the Eq. 1 payload inside each frame is unchanged.
 func TestOneSampleFrameBytes(t *testing.T) {
-	for _, sid := range []uint64{128, 1<<14 - 1} {
+	for _, st := range []struct {
+		sid   uint64
+		extra int // framed bytes above the 2-byte-tag sizes
+	}{{128, 0}, {1<<14 - 1, 0}, {1 << 14, 1}, {1<<21 - 1, 1}, {1 << 21, 2}, {1<<28 - 1, 2}} {
+		sid := st.sid
 		for _, tc := range []struct {
 			msg  Message
 			want int
@@ -499,8 +506,8 @@ func TestOneSampleFrameBytes(t *testing.T) {
 			{&FeatureBatchRequest{Session: sid, ModelVersion: 127, SampleIDs: []uint64{1 << 63}}, 21},
 			{&FeatureBatch{Session: sid, Device: 5, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 128)}, 148},
 		} {
-			if got := EncodedSize(tc.msg); got != tc.want {
-				t.Errorf("%v at session %d: %d B, want %d", tc.msg.MsgType(), sid, got, tc.want)
+			if got, want := EncodedSize(tc.msg), tc.want+st.extra; got != want {
+				t.Errorf("%v at session %d: %d B, want %d", tc.msg.MsgType(), sid, got, want)
 			}
 		}
 	}
