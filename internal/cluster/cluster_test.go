@@ -457,6 +457,23 @@ func escalationFor(model *core.Model, session, sampleID uint64) *wire.Escalation
 	return esc
 }
 
+// edgeEscalationFor builds the edge→cloud Escalation of one sample of an
+// edge-tier model: one edge feature map, mask 1, no thresholds.
+func edgeEscalationFor(model *core.Model, session, sampleID uint64) *wire.Escalation {
+	cfg := model.Cfg
+	esc := &wire.Escalation{
+		Session:   session,
+		Devices:   1,
+		F:         uint16(cfg.EdgeFilters),
+		H:         uint16(cfg.FeatureH() / 2),
+		W:         uint16(cfg.FeatureW() / 2),
+		SampleIDs: []uint64{sampleID},
+		Masks:     []uint16{1},
+	}
+	esc.Bits = make([]byte, esc.SampleBytes())
+	return esc
+}
+
 func TestDeviceRepliesErrorForUnknownSample(t *testing.T) {
 	model, test := fixture(t)
 	tr := transport.NewMem()

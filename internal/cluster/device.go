@@ -165,7 +165,7 @@ func (d *Device) onCaptureBatch(send func(wire.Message) error, m *wire.CaptureBa
 	n := len(m.SampleIDs)
 	cfg := model.Cfg
 	reply := &wire.SummaryBatch{
-		Session: m.Session, Device: uint16(d.index), Classes: uint16(cfg.Classes),
+		Session: m.Session, Classes: uint16(cfg.Classes),
 		Count: uint16(n), Present: make([]byte, (n+7)/8),
 	}
 	stacked := d.pool.GetDirty(n, cfg.InputC, cfg.InputH, cfg.InputW)
@@ -239,7 +239,6 @@ func (d *Device) onFeatureBatchRequest(send func(wire.Message) error, m *wire.Fe
 	}
 	return send(&wire.FeatureBatch{
 		Session: m.Session,
-		Device:  uint16(d.index),
 		F:       uint16(f), H: uint16(h), W: uint16(w),
 		Count: uint16(len(m.SampleIDs)),
 		Bits:  bits,

@@ -44,8 +44,8 @@ func DefaultEdgeConfig() EdgeConfig {
 // d/e): it receives the gateway's Escalation — the hard samples' device
 // feature maps — aggregates them, runs the edge ConvP section and exit
 // head, answers confident samples immediately (ExitEdge), and escalates
-// only the remaining samples' edge feature maps to the cloud (§III-C
-// staged escalation, middle stage).
+// only the remaining samples' edge feature maps to the cloud in an
+// Escalation of its own (§III-C staged escalation, middle stage).
 //
 // Every Escalation is self-contained and answered with one ResultBatch
 // under its session ID, so one gateway connection carries any number of
@@ -121,7 +121,7 @@ func (e *Edge) serve(send func(wire.Message) error, msg wire.Message) {
 		_ = send(&wire.Error{Session: m.Session, Code: 426, Msg: err.Error()})
 		return
 	}
-	feats, err := unpackEscalation(model, m, e.pool)
+	feats, err := unpackEscalation(model, wire.ExitEdge, m, e.pool)
 	if err != nil {
 		_ = send(&wire.Error{Session: m.Session, Code: 400, Msg: err.Error()})
 		return
@@ -132,7 +132,7 @@ func (e *Edge) serve(send func(wire.Message) error, msg wire.Message) {
 // classify runs the edge stage for one escalation: samples sharing a
 // device mask aggregate and run the edge section in one forward pass,
 // confident samples exit here (ExitEdge), and only the hard remainder
-// rides a single EdgeFeatureBatch to the cloud — the staged partial exit
+// rides a single Escalation to the cloud — the staged partial exit
 // that keeps upstream hops small. The whole escalation answers with one
 // ResultBatch in the frame's sample order.
 func (e *Edge) classify(send func(wire.Message) error, model *core.Model, esc *wire.Escalation, feats []*tensor.Tensor) {
@@ -187,28 +187,33 @@ func (e *Edge) classify(send func(wire.Message) error, model *core.Model, esc *w
 }
 
 // escalate packs the hard samples' edge feature rows into one
-// EdgeFeatureBatch, forwards it to a pool-scheduled cloud replica under
-// a fresh edge-owned session ID and returns the cloud's verdicts in
-// hard-index order.
+// Escalation — one map per sample, every mask 1, no thresholds, since
+// the cloud always classifies — forwards it to a pool-scheduled cloud
+// replica under a fresh edge-owned session ID and returns the cloud's
+// verdicts in hard-index order.
 func (e *Edge) escalate(model *core.Model, esc *wire.Escalation, hard []int, edgeFeats *tensor.Tensor) ([]wire.BatchVerdict, error) {
 	if e.cloud == nil {
 		return nil, fmt.Errorf("edge has no cloud connection")
 	}
 	upSession := e.nextUpstream.Add(1)
 	hardIDs := make([]uint64, len(hard))
+	masks := make([]uint16, len(hard))
 	sb := (edgeFeats.Size()/edgeFeats.Dim(0) + 7) / 8
 	bits := make([]byte, len(hard)*sb)
 	for k, idx := range hard {
 		hardIDs[k] = esc.SampleIDs[idx]
+		masks[k] = 1
 		model.PackFeatureSampleInto(bits[k*sb:(k+1)*sb], edgeFeats, idx)
 	}
-	msg := &wire.EdgeFeatureBatch{
+	msg := &wire.Escalation{
 		Session:      upSession,
 		ModelVersion: esc.ModelVersion,
+		Devices:      1,
 		F:            uint16(edgeFeats.Dim(1)),
 		H:            uint16(edgeFeats.Dim(2)),
 		W:            uint16(edgeFeats.Dim(3)),
 		SampleIDs:    hardIDs,
+		Masks:        masks,
 		Bits:         bits,
 	}
 	e.Meter.Add("cloud-upload", int64(len(bits)))
@@ -220,20 +225,9 @@ func (e *Edge) escalate(model *core.Model, esc *wire.Escalation, hard []int, edg
 	if err != nil {
 		return nil, err
 	}
-	switch m := reply.(type) {
-	case *wire.ResultBatch:
-		if len(m.Verdicts) != len(hardIDs) {
-			return nil, fmt.Errorf("cloud answered %d verdicts for %d samples", len(m.Verdicts), len(hardIDs))
-		}
-		for k, v := range m.Verdicts {
-			if v.SampleID != hardIDs[k] {
-				return nil, fmt.Errorf("cloud verdict %d is for sample %d, want %d", k, v.SampleID, hardIDs[k])
-			}
-		}
-		return m.Verdicts, nil
-	case *wire.Error:
-		return nil, fmt.Errorf("cloud error %d: %s", m.Code, m.Msg)
-	default:
-		return nil, fmt.Errorf("expected ResultBatch, got %v", reply.MsgType())
+	verdicts, err := upstreamVerdicts(reply, hardIDs)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: %w", err)
 	}
+	return verdicts, nil
 }

@@ -422,18 +422,22 @@ func TestTwoGatewaysShareOneEdge(t *testing.T) {
 
 func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 	// A two-tier cloud must reject edge feature maps, and an edge-tier
-	// cloud must reject a device-feature escalation: the hierarchy is
-	// part of the protocol contract.
+	// cloud must reject device feature maps and maps of any other shape:
+	// the hierarchy is part of the protocol contract. Each mismatch earns
+	// a typed 400 for its session, and the connection keeps serving.
 	twoTier, _ := fixture(t)
 	threeTier, _ := edgeFixture(t)
+	badShape := &wire.Escalation{Session: 1, Devices: 1, F: 1, H: 1, W: 1,
+		SampleIDs: []uint64{1}, Masks: []uint16{1}, Bits: make([]byte, 1)}
 	cases := []struct {
 		name  string
 		model *core.Model
-		msg   wire.Message
+		msg   *wire.Escalation
+		valid *wire.Escalation
 	}{
-		{"two-tier rejects EdgeFeatureBatch", twoTier, &wire.EdgeFeatureBatch{Session: 1, F: 8, H: 8, W: 8, SampleIDs: []uint64{1}, Bits: make([]byte, 64)}},
-		{"edge-tier rejects Classify escalation", threeTier, escalationFor(threeTier, 1, 1)},
-		{"edge-tier rejects bad shape", threeTier, &wire.EdgeFeatureBatch{Session: 1, F: 1, H: 1, W: 1, SampleIDs: []uint64{1}, Bits: make([]byte, 1)}},
+		{"two-tier rejects Edge-shaped Escalation", twoTier, edgeEscalationFor(threeTier, 1, 1), escalationFor(twoTier, 2, 5)},
+		{"edge-tier rejects Classify escalation", threeTier, escalationFor(threeTier, 1, 1), edgeEscalationFor(threeTier, 2, 5)},
+		{"edge-tier rejects bad shape", threeTier, badShape, edgeEscalationFor(threeTier, 2, 5)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -455,14 +459,26 @@ func TestCloudRejectsMismatchedTierMessages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 {
-				t.Errorf("cloud replied %+v, want Error 400", msg)
+			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 || e.Session != 1 {
+				t.Fatalf("cloud replied %+v, want Error 400 for session 1", msg)
+			}
+			if _, err := wire.Encode(conn, tc.valid); err != nil {
+				t.Fatal(err)
+			}
+			msg, err = wire.Decode(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, ok := msg.(*wire.ResultBatch)
+			if !ok || rb.Session != 2 || len(rb.Verdicts) != 1 || rb.Verdicts[0].SampleID != 5 || rb.Verdicts[0].Exit != wire.ExitCloud {
+				t.Fatalf("valid escalation after a mismatched one answered %+v, want one cloud verdict for sample 5", msg)
 			}
 		})
 	}
 }
 
-// TestMalformedEscalationKeepsConnection sends each upstream tier an
+// TestMalformedEscalationKeepsConnection sends each upstream tier — a
+// two-tier cloud, an edge and a three-tier cloud behind it — an
 // escalation whose feature bytes do not match its masks: the receiver
 // must answer a typed 400 for that session and keep serving the
 // connection, so the next valid escalation still gets its verdicts.
@@ -472,18 +488,23 @@ func TestMalformedEscalationKeepsConnection(t *testing.T) {
 	cases := []struct {
 		name  string
 		model *core.Model
+		esc   func(model *core.Model, session, sampleID uint64) *wire.Escalation
 		serve func(tr transport.Transport, addr string) (func() error, error)
 	}{
-		{"cloud", twoTier, func(tr transport.Transport, addr string) (func() error, error) {
+		{"cloud", twoTier, escalationFor, func(tr transport.Transport, addr string) (func() error, error) {
 			c := NewCloud(twoTier, quietLogger())
 			return c.Close, c.Serve(tr, addr)
 		}},
-		{"edge", threeTier, func(tr transport.Transport, addr string) (func() error, error) {
+		{"edge", threeTier, escalationFor, func(tr transport.Transport, addr string) (func() error, error) {
 			e, err := NewEdge(threeTier, DefaultEdgeConfig(), quietLogger())
 			if err != nil {
 				return nil, err
 			}
 			return e.Close, e.Serve(tr, addr)
+		}},
+		{"edge-tier cloud", threeTier, edgeEscalationFor, func(tr transport.Transport, addr string) (func() error, error) {
+			c := NewCloud(threeTier, quietLogger())
+			return c.Close, c.Serve(tr, addr)
 		}},
 	}
 	for _, tc := range cases {
@@ -499,7 +520,7 @@ func TestMalformedEscalationKeepsConnection(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			bad := escalationFor(tc.model, 1, 5)
+			bad := tc.esc(tc.model, 1, 5)
 			bad.Bits = bad.Bits[:len(bad.Bits)-1] // one byte short of the masks
 			if _, err := wire.Encode(conn, bad); err != nil {
 				t.Fatal(err)
@@ -511,7 +532,7 @@ func TestMalformedEscalationKeepsConnection(t *testing.T) {
 			if e, ok := msg.(*wire.Error); !ok || e.Code != 400 || e.Session != 1 {
 				t.Fatalf("malformed escalation answered %+v, want Error 400 for session 1", msg)
 			}
-			if _, err := wire.Encode(conn, escalationFor(tc.model, 2, 5)); err != nil {
+			if _, err := wire.Encode(conn, tc.esc(tc.model, 2, 5)); err != nil {
 				t.Fatal(err)
 			}
 			msg, err = wire.Decode(conn)

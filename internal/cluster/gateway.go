@@ -690,29 +690,24 @@ func (g *Gateway) escalate(ctx context.Context, snap memberSnapshot, sid, mv uin
 		}
 		return fmt.Errorf("cluster: %w: %w", sentinel, err)
 	}
-	rb, ok := msg.(*wire.ResultBatch)
-	if !ok {
-		if e, isErr := msg.(*wire.Error); isErr {
-			if e.Code == 503 {
-				// The edge reached its own exit but the tier above it
-				// did not answer.
-				return fmt.Errorf("cluster: %w: %v tier: %s", ErrCloudUnavailable, g.upstreamExit(), e.Msg)
-			}
-			if e.Code == 426 {
-				return fmt.Errorf("cluster: %w: %v tier: %s", ErrModelVersionUnknown, g.upstreamExit(), e.Msg)
-			}
+	verdicts, err := upstreamVerdicts(msg, esc.SampleIDs)
+	if err != nil {
+		var e *wire.Error
+		switch {
+		case !errors.As(err, &e):
+			return fmt.Errorf("cluster: %v tier: %w", g.upstreamExit(), err)
+		case e.Code == 503:
+			// The edge reached its own exit but the tier above it did
+			// not answer.
+			return fmt.Errorf("cluster: %w: %v tier: %s", ErrCloudUnavailable, g.upstreamExit(), e.Msg)
+		case e.Code == 426:
+			return fmt.Errorf("cluster: %w: %v tier: %s", ErrModelVersionUnknown, g.upstreamExit(), e.Msg)
+		default:
 			return fmt.Errorf("cluster: %w: %v error %d: %s", sentinel, g.upstreamExit(), e.Code, e.Msg)
 		}
-		return fmt.Errorf("cluster: expected ResultBatch, got %v", msg.MsgType())
 	}
-	if len(rb.Verdicts) != len(escalate) {
-		return fmt.Errorf("cluster: %v tier answered %d verdicts for %d samples", g.upstreamExit(), len(rb.Verdicts), len(escalate))
-	}
-	for k, v := range rb.Verdicts {
+	for k, v := range verdicts {
 		idx := escalate[k]
-		if v.SampleID != sampleIDs[idx] {
-			return fmt.Errorf("cluster: %v tier verdict %d is for sample %d, want %d", g.upstreamExit(), k, v.SampleID, sampleIDs[idx])
-		}
 		results[idx] = &Result{
 			SampleID:      sampleIDs[idx],
 			Class:         int(v.Class),

@@ -8,16 +8,27 @@ import (
 	"github.com/ddnn/ddnn-go/internal/wire"
 )
 
-// unpackEscalation validates an Escalation against the model
-// configuration and unpacks its device-major feature payload into one
-// [N, F, H, W] tensor per device, drawn zero-filled from pool (nil pool
-// allocates): rows of samples a device does not cover stay zero, exactly
-// like the placeholder maps of masked training (§IV-G). The caller
-// returns the tensors to the pool once the session is classified.
-func unpackEscalation(m *core.Model, esc *wire.Escalation, pool *tensor.Pool) ([]*tensor.Tensor, error) {
-	cfg := m.Cfg
-	if int(esc.Devices) != cfg.Devices {
-		return nil, fmt.Errorf("model has %d devices, escalation says %d", cfg.Devices, esc.Devices)
+// escalationInput returns the feature maps an Escalation to tier must
+// carry per sample: one device-section map per device at an edge and at
+// a two-tier cloud, one edge-section map at a three-tier cloud.
+func escalationInput(cfg core.Config, tier wire.ExitPoint) (devices, f, h, w int) {
+	if tier == wire.ExitCloud && cfg.UseEdge {
+		return 1, cfg.EdgeFilters, cfg.FeatureH() / 2, cfg.FeatureW() / 2
+	}
+	return cfg.Devices, cfg.DeviceFilters, cfg.FeatureH(), cfg.FeatureW()
+}
+
+// unpackEscalation validates an Escalation against the input of the
+// receiving tier's section (escalationInput) and unpacks its
+// source-major feature payload into one [N, F, H, W] tensor per source,
+// drawn zero-filled from pool (nil pool allocates): rows of samples a
+// device does not cover stay zero, exactly like the placeholder maps of
+// masked training (§IV-G). The caller returns the tensors to the pool
+// once the session is classified.
+func unpackEscalation(m *core.Model, tier wire.ExitPoint, esc *wire.Escalation, pool *tensor.Pool) ([]*tensor.Tensor, error) {
+	devices, f, h, w := escalationInput(m.Cfg, tier)
+	if int(esc.Devices) != devices {
+		return nil, fmt.Errorf("%v tier takes %d feature maps per sample, escalation says %d", tier, devices, esc.Devices)
 	}
 	n := len(esc.SampleIDs)
 	if n == 0 {
@@ -26,27 +37,26 @@ func unpackEscalation(m *core.Model, esc *wire.Escalation, pool *tensor.Pool) ([
 	if len(esc.Masks) != n {
 		return nil, fmt.Errorf("escalation has %d samples but %d masks", n, len(esc.Masks))
 	}
-	fh, fw := cfg.FeatureH(), cfg.FeatureW()
-	if int(esc.F) != cfg.DeviceFilters || int(esc.H) != fh || int(esc.W) != fw {
-		return nil, fmt.Errorf("feature shape %d×%d×%d, model expects %d×%d×%d",
-			esc.F, esc.H, esc.W, cfg.DeviceFilters, fh, fw)
+	if int(esc.F) != f || int(esc.H) != h || int(esc.W) != w {
+		return nil, fmt.Errorf("feature shape %d×%d×%d, %v tier expects %d×%d×%d",
+			esc.F, esc.H, esc.W, tier, f, h, w)
 	}
 	for i, mask := range esc.Masks {
 		if mask == 0 {
 			return nil, fmt.Errorf("sample %d has an empty device mask", esc.SampleIDs[i])
 		}
-		if mask>>uint(cfg.Devices) != 0 {
-			return nil, fmt.Errorf("sample %d mask %b names a device beyond %d", esc.SampleIDs[i], mask, cfg.Devices)
+		if mask>>uint(devices) != 0 {
+			return nil, fmt.Errorf("sample %d mask %b names a device beyond %d", esc.SampleIDs[i], mask, devices)
 		}
 	}
 	if want := esc.PresentCount() * esc.SampleBytes(); len(esc.Bits) != want {
 		return nil, fmt.Errorf("escalation has %d feature bytes, masks need %d", len(esc.Bits), want)
 	}
-	feats := make([]*tensor.Tensor, cfg.Devices)
+	feats := make([]*tensor.Tensor, devices)
 	sb := esc.SampleBytes()
 	off := 0
 	for d := range feats {
-		feats[d] = pool.Get(n, cfg.DeviceFilters, fh, fw)
+		feats[d] = pool.Get(n, f, h, w)
 		for i, mask := range esc.Masks {
 			if mask&(1<<uint(d)) == 0 {
 				continue
@@ -59,6 +69,29 @@ func unpackEscalation(m *core.Model, esc *wire.Escalation, pool *tensor.Pool) ([
 		}
 	}
 	return feats, nil
+}
+
+// upstreamVerdicts checks a tier's reply to an Escalation — one
+// ResultBatch verdict per escalated sample, in the frame's SampleIDs
+// order — and returns the verdicts. An Error reply is returned as the
+// *wire.Error itself, so a caller can map its code.
+func upstreamVerdicts(reply wire.Message, ids []uint64) ([]wire.BatchVerdict, error) {
+	switch m := reply.(type) {
+	case *wire.ResultBatch:
+		if len(m.Verdicts) != len(ids) {
+			return nil, fmt.Errorf("answered %d verdicts for %d samples", len(m.Verdicts), len(ids))
+		}
+		for k, v := range m.Verdicts {
+			if v.SampleID != ids[k] {
+				return nil, fmt.Errorf("verdict %d is for sample %d, want %d", k, v.SampleID, ids[k])
+			}
+		}
+		return m.Verdicts, nil
+	case *wire.Error:
+		return nil, m
+	default:
+		return nil, fmt.Errorf("expected ResultBatch, got %v", reply.MsgType())
+	}
 }
 
 // releaseAll returns tensors to the pool.

@@ -125,12 +125,11 @@ func (m *CaptureBatch) decodePayload(src []byte) error {
 // set when the device produced a summary for the batch's i-th sample
 // (absent frames — feed errors — clear the bit), and Probs holds exactly
 // popcount(Present)·Classes float32 values. Each present row charges the
-// 4·|C| bytes of Eq. (1)'s class summary.
+// 4·|C| bytes of Eq. (1)'s class summary. The frame does not name its
+// device: the gateway knows it by the link the reply arrived on.
 type SummaryBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
-	// Device is the sending device's index.
-	Device uint16
 	// Classes is the model's class count (the width of each Probs row).
 	Classes uint16
 	// Count is the batch length (the number of samples in the
@@ -165,7 +164,6 @@ func (m *SummaryBatch) PresentCount() int {
 
 func (m *SummaryBatch) appendPayload(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Classes)
 	dst = binary.LittleEndian.AppendUint16(dst, m.Count)
 	dst = append(dst, m.Present...)
@@ -180,14 +178,13 @@ func (m *SummaryBatch) decodePayload(src []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(src) < 6 {
+	if len(src) < 4 {
 		return ErrShortPayload
 	}
 	m.Session = session
-	m.Device = binary.LittleEndian.Uint16(src[0:2])
-	m.Classes = binary.LittleEndian.Uint16(src[2:4])
-	m.Count = binary.LittleEndian.Uint16(src[4:6])
-	src = src[6:]
+	m.Classes = binary.LittleEndian.Uint16(src[0:2])
+	m.Count = binary.LittleEndian.Uint16(src[2:4])
+	src = src[4:]
 	pb := (int(m.Count) + 7) / 8
 	if len(src) < pb {
 		return ErrShortPayload
@@ -250,11 +247,11 @@ func (m *FeatureBatchRequest) decodePayload(src []byte) error {
 // bit-packed binarized feature maps for Count samples, Count independent
 // PackFeature payloads of (F·H·W+7)/8 bytes each, concatenated in request
 // order. Each sample charges the f·o/8 bytes of Eq. (1)'s feature upload.
+// Like SummaryBatch, the frame is identified by its link, not a device
+// field.
 type FeatureBatch struct {
 	// Session tags the inference session this frame belongs to.
 	Session uint64
-	// Device is the sending device's index.
-	Device uint16
 	// F, H, W give the packed feature map's shape: filters × height × width.
 	F, H, W uint16
 	// Count is the number of samples in the batch.
@@ -283,7 +280,6 @@ func (m *FeatureBatch) Sample(i int) []byte {
 
 func (m *FeatureBatch) appendPayload(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, m.Session)
-	dst = binary.LittleEndian.AppendUint16(dst, m.Device)
 	dst = binary.LittleEndian.AppendUint16(dst, m.F)
 	dst = binary.LittleEndian.AppendUint16(dst, m.H)
 	dst = binary.LittleEndian.AppendUint16(dst, m.W)
@@ -296,16 +292,15 @@ func (m *FeatureBatch) decodePayload(src []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(src) < 10 {
+	if len(src) < 8 {
 		return ErrShortPayload
 	}
 	m.Session = session
-	m.Device = binary.LittleEndian.Uint16(src[0:2])
-	m.F = binary.LittleEndian.Uint16(src[2:4])
-	m.H = binary.LittleEndian.Uint16(src[4:6])
-	m.W = binary.LittleEndian.Uint16(src[6:8])
-	m.Count = binary.LittleEndian.Uint16(src[8:10])
-	src = src[10:]
+	m.F = binary.LittleEndian.Uint16(src[0:2])
+	m.H = binary.LittleEndian.Uint16(src[2:4])
+	m.W = binary.LittleEndian.Uint16(src[4:6])
+	m.Count = binary.LittleEndian.Uint16(src[6:8])
+	src = src[8:]
 	want := int(m.Count) * m.SampleBytes()
 	if len(src) != want {
 		return fmt.Errorf("wire: feature batch has %d bytes for %d samples of %d×%d×%d bits (want %d)",
@@ -344,11 +339,14 @@ func readIDMaskPairs(src []byte) ([]uint64, []uint16, []byte, error) {
 	return ids, masks, src[10*n:], nil
 }
 
-// Escalation is the one frame of the gateway's upstream hop: it carries
-// a session's hard samples — the ones that missed the local exit — to a
-// replica of the next tier, an edge node in a three-tier hierarchy or the
-// cloud in a two-tier one, which answers with a single ResultBatch in
-// SampleIDs order.
+// Escalation is the one request frame of both upstream hops: it carries
+// a session's hard samples — the ones that missed every exit below — to a
+// replica of the next tier, which answers with a single ResultBatch in
+// SampleIDs order. The gateway sends its local-exit misses to an edge
+// node in a three-tier hierarchy or to the cloud in a two-tier one, with
+// one feature map per covering device; an edge sends its edge-exit misses
+// to the cloud as one feature map per sample (Devices 1, every mask 1,
+// the edge section's output shape, no thresholds).
 //
 // Masks[i] has bit d set when device d's feature map covers sample i
 // (masks may differ across samples: a device can drop out mid-session).
@@ -366,9 +364,10 @@ type Escalation struct {
 	Session uint64
 	// ModelVersion pins the session's weights; 0 means the active version.
 	ModelVersion uint64
-	// Devices is the total device count in the hierarchy.
+	// Devices is the number of feature-map sources per sample: the
+	// hierarchy's device count, or 1 on the edge→cloud hop.
 	Devices uint16
-	// F, H, W give each device feature map's shape: filters × height × width.
+	// F, H, W give each feature map's shape: filters × height × width.
 	F, H, W uint16
 	// SampleIDs lists the escalating samples, batch order.
 	SampleIDs []uint64
@@ -378,8 +377,8 @@ type Escalation struct {
 	// nearest tier first, at full float64 precision so distributed exit
 	// decisions are bit-identical to in-process staged inference: an edge
 	// consumes Thresholds[0] as its own exit criterion (an empty list
-	// means it never exits). It is empty on the two-tier hop, where the
-	// cloud always classifies.
+	// means it never exits). It is empty on every hop to the cloud, which
+	// always classifies.
 	Thresholds []float64
 	// Bits is the device-major packed feature payload. Decoding aliases
 	// it into the frame's payload buffer.
@@ -456,77 +455,6 @@ func (m *Escalation) decodePayload(src []byte) error {
 	}
 	m.SampleIDs, m.Masks, m.Thresholds = ids, masks, ts
 	m.Bits = rest[8*n:]
-	return nil
-}
-
-// EdgeFeatureBatch carries the bit-packed edge feature maps of the
-// samples that missed the edge exit. Bits concatenates one PackFeature payload of (F·H·W+7)/8
-// bytes per sample, in SampleIDs order. The cloud answers with one
-// ResultBatch.
-type EdgeFeatureBatch struct {
-	// Session tags the inference session this frame belongs to.
-	Session uint64
-	// ModelVersion pins the session's weights; 0 means the active version.
-	ModelVersion uint64
-	// F, H, W give the packed feature map's shape: filters × height × width.
-	F, H, W uint16
-	// SampleIDs lists the batch's samples, in batch order.
-	SampleIDs []uint64
-	// Bits is the LSB-first bit-packed binarized feature payload. Decoding
-	// aliases it into the frame's payload buffer.
-	Bits []byte
-}
-
-// MsgType implements Message.
-func (*EdgeFeatureBatch) MsgType() MsgType { return TypeEdgeFeatureBatch }
-
-// SessionID implements Sessioned.
-func (m *EdgeFeatureBatch) SessionID() uint64 { return m.Session }
-
-// SampleBytes returns the packed size of one sample's feature map.
-func (m *EdgeFeatureBatch) SampleBytes() int {
-	return (int(m.F)*int(m.H)*int(m.W) + 7) / 8
-}
-
-// Sample returns the packed bits of the i-th sample.
-func (m *EdgeFeatureBatch) Sample(i int) []byte {
-	sb := m.SampleBytes()
-	return m.Bits[i*sb : (i+1)*sb]
-}
-
-func (m *EdgeFeatureBatch) appendPayload(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, m.Session)
-	dst = binary.AppendUvarint(dst, m.ModelVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, m.F)
-	dst = binary.LittleEndian.AppendUint16(dst, m.H)
-	dst = binary.LittleEndian.AppendUint16(dst, m.W)
-	dst = appendSampleIDs(dst, m.SampleIDs)
-	return append(dst, m.Bits...)
-}
-
-func (m *EdgeFeatureBatch) decodePayload(src []byte) error {
-	session, version, src, err := readSessionVersion(src)
-	if err != nil {
-		return err
-	}
-	if len(src) < 6 {
-		return ErrShortPayload
-	}
-	m.Session, m.ModelVersion = session, version
-	m.F = binary.LittleEndian.Uint16(src[0:2])
-	m.H = binary.LittleEndian.Uint16(src[2:4])
-	m.W = binary.LittleEndian.Uint16(src[4:6])
-	ids, rest, err := readSampleIDs(src[6:])
-	if err != nil {
-		return err
-	}
-	want := len(ids) * m.SampleBytes()
-	if len(rest) != want {
-		return fmt.Errorf("wire: edge feature batch has %d bytes for %d samples of %d×%d×%d bits (want %d)",
-			len(rest), len(ids), m.F, m.H, m.W, want)
-	}
-	m.SampleIDs = ids
-	m.Bits = rest
 	return nil
 }
 

@@ -26,11 +26,10 @@ func encodeFrame(tb testing.TB, m Message) []byte {
 // gen_corpus.go mirrors this list into the committed seed corpus.
 func seedMessages() []Message {
 	return []Message{
-		&Hello{NodeID: "device-3", Role: RoleDevice, Device: 3},
-		&SummaryBatch{Session: 17, Device: 1, Classes: 3, Count: 1,
+		&SummaryBatch{Session: 17, Classes: 3, Count: 1,
 			Present: PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}},
 		&FeatureBatchRequest{Session: 3, ModelVersion: 2, SampleIDs: []uint64{99}},
-		&FeatureBatch{Session: 9, Device: 2, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)},
+		&FeatureBatch{Session: 9, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)},
 		&ResultBatch{Session: 1 << 40, Verdicts: []BatchVerdict{
 			{SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.05, 0.05, 0.9}},
 		}},
@@ -41,18 +40,20 @@ func seedMessages() []Message {
 			SampleIDs: []uint64{8}, Masks: []uint16{0b101101}, Bits: make([]byte, 4*128)},
 		&Escalation{Session: 11, ModelVersion: 4, Devices: 6, F: 4, H: 16, W: 16,
 			SampleIDs: []uint64{9}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 4*128)},
-		&EdgeFeatureBatch{Session: 13, ModelVersion: 5, F: 8, H: 8, W: 8, SampleIDs: []uint64{21}, Bits: make([]byte, 64)},
+		&Escalation{Session: 13, ModelVersion: 5, Devices: 1, F: 8, H: 8, W: 8,
+			SampleIDs: []uint64{21}, Masks: []uint16{1}, Bits: make([]byte, 64)},
 		&CaptureBatch{Session: 14, ModelVersion: 2, SampleIDs: []uint64{3, 1, 4}},
-		&SummaryBatch{Session: 15, Device: 2, Classes: 3, Count: 3,
+		&SummaryBatch{Session: 15, Classes: 3, Count: 3,
 			Present: PackPresent([]bool{true, false, true}),
 			Probs:   []float32{0.1, 0.7, 0.2, 0.9, 0.05, 0.05}},
 		&FeatureBatchRequest{Session: 16, ModelVersion: 2, SampleIDs: []uint64{7, 9}},
-		&FeatureBatch{Session: 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 256)},
+		&FeatureBatch{Session: 17, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 256)},
 		&Escalation{Session: 18, ModelVersion: 6, Devices: 6, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b101101}, Bits: make([]byte, 10*2)},
 		&Escalation{Session: 19, ModelVersion: 7, Devices: 6, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{5, 7}, Masks: []uint16{0b011011, 0b000001}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 5*2)},
-		&EdgeFeatureBatch{Session: 20, ModelVersion: 8, F: 8, H: 8, W: 8, SampleIDs: []uint64{11, 12}, Bits: make([]byte, 128)},
+		&Escalation{Session: 20, ModelVersion: 8, Devices: 1, F: 8, H: 8, W: 8,
+			SampleIDs: []uint64{11, 12}, Masks: []uint16{1, 1}, Bits: make([]byte, 128)},
 		&ResultBatch{Session: 21, Verdicts: []BatchVerdict{
 			{SampleID: 5, Exit: ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
 			{SampleID: 6, Exit: ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}},
@@ -61,7 +62,7 @@ func seedMessages() []Message {
 		&DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17},
 		&DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"},
 		&CaptureBatch{Session: 127, ModelVersion: 128, SampleIDs: []uint64{1 << 63}},
-		&SummaryBatch{Session: 1 << 63, Device: 5, Classes: 3, Count: 1,
+		&SummaryBatch{Session: 1 << 63, Classes: 3, Count: 1,
 			Present: PackPresent([]bool{true}), Probs: []float32{0.2, 0.3, 0.5}},
 		&Error{Session: math.MaxUint64, Code: 503, Msg: "cloud unreachable"},
 		&Escalation{Session: 1 << 14, ModelVersion: math.MaxUint64, Devices: 2, F: 1, H: 4, W: 4,
@@ -187,9 +188,7 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 		}
 		return ts
 	}
-	switch kind % 13 {
-	case 0:
-		return &Hello{NodeID: s, Role: Role(a), Device: b}
+	switch kind % 12 {
 	case 1:
 		return &CaptureBatch{Session: session, ModelVersion: mv, SampleIDs: ids}
 	case 2:
@@ -219,15 +218,19 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 		for i := range sProbs {
 			sProbs[i] = float32(i) / 7
 		}
-		return &SummaryBatch{Session: session, Device: a, Classes: uint16(classes),
+		return &SummaryBatch{Session: session, Classes: uint16(classes),
 			Count: uint16(count), Present: PackPresent(present), Probs: sProbs}
 	case 4:
+		// The edge→cloud shape: one map per sample, every mask 1.
 		fDim, h, w, one := shape(b, a)
+		ones := make([]uint16, len(ids))
 		bits := make([]byte, 0, len(ids)*len(one))
-		for range ids {
+		for i := range ids {
+			ones[i] = 1
 			bits = append(bits, one...)
 		}
-		return &EdgeFeatureBatch{Session: session, ModelVersion: mv, F: fDim, H: h, W: w, SampleIDs: ids, Bits: bits}
+		return &Escalation{Session: session, ModelVersion: mv, Devices: 1, F: fDim, H: h, W: w,
+			SampleIDs: ids, Masks: ones, Bits: bits}
 	case 5:
 		return &Heartbeat{NodeID: s, Seq: session}
 	case 6:
@@ -251,7 +254,7 @@ func buildMessage(kind uint8, session, sample uint64, a, b uint16, s string, blo
 		for i := 0; i < count; i++ {
 			bits = append(bits, one...)
 		}
-		return &FeatureBatch{Session: session, Device: b, F: fDim, H: h, W: w, Count: uint16(count), Bits: bits}
+		return &FeatureBatch{Session: session, F: fDim, H: h, W: w, Count: uint16(count), Bits: bits}
 	default:
 		vs := make([]BatchVerdict, len(ids))
 		for i := range vs {

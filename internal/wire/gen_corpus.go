@@ -40,7 +40,7 @@ func rawFrame(t wire.MsgType, payload []byte) []byte {
 }
 
 func main() {
-	summary := frame(&wire.SummaryBatch{Session: 17, Device: 1, Classes: 3, Count: 1,
+	summary := frame(&wire.SummaryBatch{Session: 17, Classes: 3, Count: 1,
 		Present: wire.PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}})
 	badtype := append([]byte(nil), summary...)
 	badtype[3] = 200
@@ -58,16 +58,16 @@ func main() {
 	// order: the per-sample protocol roles (capture, local summary,
 	// feature request and upload, cloud and edge classify, edge feature,
 	// classify result) keep their seed names as batch-of-one frames, the
-	// multi-sample batches follow, then the uvarint edge cases. The
+	// multi-sample batches follow, then the uvarint edge cases. The edge
+	// feature seeds hold edge→cloud Escalations (one map per sample). The
 	// corruptions are named so the wire tests know to skip them (badtype,
 	// truncated, overflow, oversize, empty).
 	seeds := map[string][]byte{
-		"seed-hello":                   frame(&wire.Hello{NodeID: "device-3", Role: wire.RoleDevice, Device: 3}),
 		"seed-local-summary":           summary,
 		"seed-local-summary-badtype":   badtype,
 		"seed-local-summary-truncated": summary[:20],
 		"seed-feature-req":             frame(&wire.FeatureBatchRequest{Session: 3, ModelVersion: 2, SampleIDs: []uint64{99}}),
-		"seed-feature-upload":          frame(&wire.FeatureBatch{Session: 9, Device: 2, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)}),
+		"seed-feature-upload":          frame(&wire.FeatureBatch{Session: 9, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)}),
 		"seed-classify": frame(&wire.ResultBatch{Session: 1 << 40, Verdicts: []wire.BatchVerdict{
 			{SampleID: 5, Exit: wire.ExitCloud, Class: 2, Probs: []float32{0.05, 0.05, 0.9}},
 		}}),
@@ -79,18 +79,20 @@ func main() {
 			SampleIDs: []uint64{8}, Masks: []uint16{0b101101}, Bits: make([]byte, 4*128)}),
 		"seed-edge-classify": frame(&wire.Escalation{Session: 11, ModelVersion: 4, Devices: 6, F: 4, H: 16, W: 16,
 			SampleIDs: []uint64{9}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 4*128)}),
-		"seed-edge-feature":  frame(&wire.EdgeFeatureBatch{Session: 13, ModelVersion: 5, F: 8, H: 8, W: 8, SampleIDs: []uint64{21}, Bits: make([]byte, 64)}),
+		"seed-edge-feature": frame(&wire.Escalation{Session: 13, ModelVersion: 5, Devices: 1, F: 8, H: 8, W: 8,
+			SampleIDs: []uint64{21}, Masks: []uint16{1}, Bits: make([]byte, 64)}),
 		"seed-capture-batch": frame(&wire.CaptureBatch{Session: 14, ModelVersion: 2, SampleIDs: []uint64{3, 1, 4}}),
-		"seed-summary-batch": frame(&wire.SummaryBatch{Session: 15, Device: 2, Classes: 3, Count: 3,
+		"seed-summary-batch": frame(&wire.SummaryBatch{Session: 15, Classes: 3, Count: 3,
 			Present: wire.PackPresent([]bool{true, false, true}),
 			Probs:   []float32{0.1, 0.7, 0.2, 0.9, 0.05, 0.05}}),
 		"seed-feature-batch-req": frame(&wire.FeatureBatchRequest{Session: 16, ModelVersion: 2, SampleIDs: []uint64{7, 9}}),
-		"seed-feature-batch":     frame(&wire.FeatureBatch{Session: 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 256)}),
+		"seed-feature-batch":     frame(&wire.FeatureBatch{Session: 17, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 256)}),
 		"seed-escalation": frame(&wire.Escalation{Session: 18, ModelVersion: 6, Devices: 6, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b101101}, Bits: make([]byte, 10*2)}),
 		"seed-escalation-edge": frame(&wire.Escalation{Session: 19, ModelVersion: 7, Devices: 6, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{5, 7}, Masks: []uint16{0b011011, 0b000001}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 5*2)}),
-		"seed-edge-feature-batch": frame(&wire.EdgeFeatureBatch{Session: 20, ModelVersion: 8, F: 8, H: 8, W: 8, SampleIDs: []uint64{11, 12}, Bits: make([]byte, 128)}),
+		"seed-edge-feature-batch": frame(&wire.Escalation{Session: 20, ModelVersion: 8, Devices: 1, F: 8, H: 8, W: 8,
+			SampleIDs: []uint64{11, 12}, Masks: []uint16{1, 1}, Bits: make([]byte, 128)}),
 		"seed-result-batch": frame(&wire.ResultBatch{Session: 21, Verdicts: []wire.BatchVerdict{
 			{SampleID: 5, Exit: wire.ExitEdge, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
 			{SampleID: 6, Exit: wire.ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}},
@@ -99,7 +101,7 @@ func main() {
 		"seed-device-welcome": frame(&wire.DeviceWelcome{Slot: 4, Devices: 6, ConfigVersion: 17}),
 		"seed-device-goodbye": frame(&wire.DeviceGoodbye{NodeID: "device-4", Slot: 4, Reason: "draining"}),
 		"seed-varint-capture": frame(&wire.CaptureBatch{Session: 127, ModelVersion: 128, SampleIDs: []uint64{1 << 63}}),
-		"seed-varint-summary": frame(&wire.SummaryBatch{Session: 1 << 63, Device: 5, Classes: 3, Count: 1,
+		"seed-varint-summary": frame(&wire.SummaryBatch{Session: 1 << 63, Classes: 3, Count: 1,
 			Present: wire.PackPresent([]bool{true}), Probs: []float32{0.2, 0.3, 0.5}}),
 		"seed-varint-error": frame(&wire.Error{Session: math.MaxUint64, Code: 503, Msg: "cloud unreachable"}),
 		"seed-varint-escalation": frame(&wire.Escalation{Session: 1 << 14, ModelVersion: math.MaxUint64, Devices: 2, F: 1, H: 4, W: 4,

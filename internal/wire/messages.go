@@ -5,67 +5,6 @@ import (
 	"fmt"
 )
 
-// Role identifies a node's position in the distributed computing
-// hierarchy.
-type Role uint8
-
-// Node roles.
-const (
-	RoleDevice Role = iota + 1
-	RoleEdge
-	RoleCloud
-	RoleGateway
-)
-
-// String names the role.
-func (r Role) String() string {
-	switch r {
-	case RoleDevice:
-		return "device"
-	case RoleEdge:
-		return "edge"
-	case RoleCloud:
-		return "cloud"
-	case RoleGateway:
-		return "gateway"
-	default:
-		return fmt.Sprintf("Role(%d)", uint8(r))
-	}
-}
-
-// Hello announces a node after connecting.
-type Hello struct {
-	// NodeID names the sending node.
-	NodeID string
-	// Role is the sender's role in the hierarchy.
-	Role Role
-	// Device is the device index for RoleDevice nodes.
-	Device uint16
-}
-
-// MsgType implements Message.
-func (*Hello) MsgType() MsgType { return TypeHello }
-
-func (m *Hello) appendPayload(dst []byte) []byte {
-	dst = appendString(dst, m.NodeID)
-	dst = append(dst, byte(m.Role))
-	return binary.LittleEndian.AppendUint16(dst, m.Device)
-}
-
-func (m *Hello) decodePayload(src []byte) error {
-	s, rest, err := readString(src)
-	if err != nil {
-		return err
-	}
-	if len(rest) < 3 {
-		return ErrShortPayload
-	}
-	m.NodeID = s
-	m.Role = Role(rest[0])
-	m.Device = binary.LittleEndian.Uint16(rest[1:3])
-	return nil
-}
-
 // SummaryPayloadBytes returns the Eq. (1) accounting charge of one
 // sample's class summary: 4·|C| bytes, excluding framing overhead.
 func SummaryPayloadBytes(classes int) int { return 4 * classes }
@@ -140,6 +79,9 @@ func (*Error) MsgType() MsgType { return TypeError }
 
 // SessionID implements Sessioned.
 func (m *Error) SessionID() uint64 { return m.Session }
+
+// Error implements error, so a receiver can return an Error reply as is.
+func (m *Error) Error() string { return fmt.Sprintf("error %d: %s", m.Code, m.Msg) }
 
 func (m *Error) appendPayload(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, m.Session)

@@ -3,7 +3,7 @@
 // the cloud). Frames are length-prefixed with a fixed header:
 //
 //	magic   uint16  0xDD17 ("DDNN ICDCS'17")
-//	version uint8   5
+//	version uint8   6
 //	type    uint8   message type
 //	length  uint32  payload length in bytes
 //
@@ -18,9 +18,9 @@
 // Every classification session is a batch of n ≥ 1 samples: a single
 // sample is a batch of one. Each hop has one request frame and one reply
 // frame — CaptureBatch/SummaryBatch and FeatureBatchRequest/FeatureBatch
-// on the device links, one Escalation answered by a ResultBatch on the
-// gateway's upstream hop, and EdgeFeatureBatch/ResultBatch on the
-// edge→cloud hop.
+// on the device links, and one Escalation answered by a ResultBatch on
+// both upstream hops: gateway→edge (or gateway→cloud in a two-tier
+// hierarchy) and edge→cloud.
 //
 // Since version 2 every session-scoped message carries a Session tag, so a
 // single connection can interleave frames from many concurrent inference
@@ -34,7 +34,9 @@
 // encodes every frame's Session tag and ModelVersion pin as uvarints
 // (encoding/binary's AppendUvarint), so the framing of a one-sample
 // session shrinks while sample IDs and every Eq. 1 payload keep their
-// fixed widths.
+// fixed widths. Version 6 carries the edge→cloud hop in an Escalation
+// too, retiring EdgeFeatureBatch, and drops the Hello frame no node sent
+// and the Device field no node read from SummaryBatch and FeatureBatch.
 package wire
 
 import (
@@ -53,8 +55,10 @@ const Magic uint16 = 0xDD17
 // connection; version 3 added the model-version pin on every serving-path
 // request (rolling model reloads); version 4 made every session a batch
 // and the upstream escalation a single frame; version 5 encodes the
-// Session tag and ModelVersion pin as uvarints.
-const Version uint8 = 5
+// Session tag and ModelVersion pin as uvarints; version 6 sends one
+// Escalation frame on both upstream hops and drops the unread Hello frame
+// and SummaryBatch/FeatureBatch Device fields.
+const Version uint8 = 6
 
 // MaxPayload bounds frame payloads to guard against corrupt or hostile
 // length fields. Feature maps in this system are tiny; 16 MiB is generous.
@@ -69,8 +73,6 @@ type MsgType uint8
 // Message types. Numbers of types retired by a protocol version are
 // never reused (see docs/WIRE.md).
 const (
-	// TypeHello announces a node and its role after connecting.
-	TypeHello MsgType = 1
 	// TypeHeartbeat is the liveness signal used for failure detection.
 	TypeHeartbeat MsgType = 6
 	// TypeError reports a protocol or processing error.
@@ -87,9 +89,6 @@ const (
 	// TypeFeatureBatch carries one device's bit-packed feature maps for
 	// the requested samples in a single frame.
 	TypeFeatureBatch MsgType = 15
-	// TypeEdgeFeatureBatch carries the edge feature maps of the batch
-	// subset that missed the edge exit.
-	TypeEdgeFeatureBatch MsgType = 18
 	// TypeResultBatch reports the per-sample verdicts of one session in a
 	// single frame.
 	TypeResultBatch MsgType = 19
@@ -102,16 +101,14 @@ const (
 	// TypeDeviceGoodbye deregisters a device slot from the live topology.
 	TypeDeviceGoodbye MsgType = 22
 	// TypeEscalation carries a session's hard samples — their device
-	// masks, the relayed exit thresholds and every covered device's
-	// packed feature maps — from the gateway to the next tier up.
+	// masks, the relayed exit thresholds and every covered feature map —
+	// up one tier: gateway→edge, gateway→cloud or edge→cloud.
 	TypeEscalation MsgType = 23
 )
 
 // String names the message type.
 func (t MsgType) String() string {
 	switch t {
-	case TypeHello:
-		return "Hello"
 	case TypeHeartbeat:
 		return "Heartbeat"
 	case TypeError:
@@ -124,8 +121,6 @@ func (t MsgType) String() string {
 		return "FeatureBatchRequest"
 	case TypeFeatureBatch:
 		return "FeatureBatch"
-	case TypeEdgeFeatureBatch:
-		return "EdgeFeatureBatch"
 	case TypeResultBatch:
 		return "ResultBatch"
 	case TypeDeviceHello:
@@ -237,8 +232,6 @@ func Decode(r io.Reader) (Message, error) {
 
 func newMessage(t MsgType) (Message, error) {
 	switch t {
-	case TypeHello:
-		return &Hello{}, nil
 	case TypeHeartbeat:
 		return &Heartbeat{}, nil
 	case TypeError:
@@ -251,8 +244,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &FeatureBatchRequest{}, nil
 	case TypeFeatureBatch:
 		return &FeatureBatch{}, nil
-	case TypeEdgeFeatureBatch:
-		return &EdgeFeatureBatch{}, nil
 	case TypeResultBatch:
 		return &ResultBatch{}, nil
 	case TypeDeviceHello:

@@ -40,18 +40,18 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		name string
 		msg  Message
 	}{
-		{"Hello", &Hello{NodeID: "device-3", Role: RoleDevice, Device: 3}},
-		{"Hello empty id", &Hello{NodeID: "", Role: RoleCloud}},
 		// Since version 4 the per-sample protocol roles — capture request,
 		// local summary, feature request and upload, cloud and edge
 		// classify, edge feature and classify result — are batch-of-one
-		// frames; these entries keep the role names.
-		{"LocalSummary", &SummaryBatch{Session: 17, Device: 1, Classes: 3, Count: 1,
+		// frames; these entries keep the role names. Since version 6 the
+		// edge feature rides an edge-shaped Escalation (one map per
+		// sample, every mask 1, no thresholds).
+		{"LocalSummary", &SummaryBatch{Session: 17, Classes: 3, Count: 1,
 			Present: PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}}},
-		{"LocalSummary empty", &SummaryBatch{Session: 1, Device: 0, Classes: 0, Count: 1,
+		{"LocalSummary empty", &SummaryBatch{Session: 1, Classes: 0, Count: 1,
 			Present: PackPresent([]bool{true}), Probs: []float32{}}},
 		{"FeatureRequest", &FeatureBatchRequest{Session: 3, SampleIDs: []uint64{99}}},
-		{"FeatureUpload", &FeatureBatch{Session: 9, Device: 2, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)}},
+		{"FeatureUpload", &FeatureBatch{Session: 9, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 4*16*16/8)}},
 		{"ClassifyResult", &ResultBatch{Session: 1 << 40, Verdicts: []BatchVerdict{
 			{SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.05, 0.05, 0.9}},
 		}}},
@@ -64,21 +64,22 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 			SampleIDs: []uint64{9}, Masks: []uint16{0b011011}, Thresholds: []float64{0.8}, Bits: make([]byte, 4*2)}},
 		{"EdgeClassify deep", &Escalation{Session: 12, Devices: 4, F: 4, H: 2, W: 2,
 			SampleIDs: []uint64{10}, Masks: []uint16{0b1111}, Thresholds: []float64{0.8, 0.5, 0.3}, Bits: make([]byte, 4*2)}},
-		{"EdgeFeature", &EdgeFeatureBatch{Session: 13, F: 8, H: 8, W: 8, SampleIDs: []uint64{21}, Bits: make([]byte, 8*8*8/8)}},
+		{"EdgeFeature", &Escalation{Session: 13, Devices: 1, F: 8, H: 8, W: 8,
+			SampleIDs: []uint64{21}, Masks: []uint16{1}, Bits: make([]byte, 8*8*8/8)}},
 		{"CaptureBatch", &CaptureBatch{Session: 14, SampleIDs: []uint64{3, 1, 4, 1 << 40}}},
-		{"SummaryBatch", &SummaryBatch{Session: 15, Device: 2, Classes: 3, Count: 4,
+		{"SummaryBatch", &SummaryBatch{Session: 15, Classes: 3, Count: 4,
 			Present: PackPresent([]bool{true, false, true, true}),
 			Probs:   []float32{0.1, 0.7, 0.2, 0.3, 0.3, 0.4, 0.9, 0.05, 0.05}}},
-		{"SummaryBatch all absent", &SummaryBatch{Session: 15, Device: 2, Classes: 3, Count: 2,
+		{"SummaryBatch all absent", &SummaryBatch{Session: 15, Classes: 3, Count: 2,
 			Present: PackPresent([]bool{false, false}), Probs: []float32{}}},
 		{"FeatureBatchRequest", &FeatureBatchRequest{Session: 16, SampleIDs: []uint64{7, 9}}},
-		{"FeatureBatch", &FeatureBatch{Session: 17, Device: 1, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 2*4*16*16/8)}},
+		{"FeatureBatch", &FeatureBatch{Session: 17, F: 4, H: 16, W: 16, Count: 2, Bits: make([]byte, 2*4*16*16/8)}},
 		{"CloudClassifyBatch", &Escalation{Session: 18, ModelVersion: 3, Devices: 6, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{5, 6, 7}, Masks: []uint16{0b111111, 0b101101, 0b000001}, Bits: make([]byte, 11*2)}},
 		{"EdgeClassifyBatch", &Escalation{Session: 19, ModelVersion: 4, Devices: 6, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{5, 6}, Masks: []uint16{0b111111, 0b011011}, Thresholds: []float64{0.8, 0.5}, Bits: make([]byte, 10*2)}},
-		{"EdgeFeatureBatch", &EdgeFeatureBatch{Session: 20, F: 8, H: 8, W: 8,
-			SampleIDs: []uint64{11, 12, 13}, Bits: make([]byte, 3*8*8*8/8)}},
+		{"EdgeFeatureBatch", &Escalation{Session: 20, Devices: 1, F: 8, H: 8, W: 8,
+			SampleIDs: []uint64{11, 12, 13}, Masks: []uint16{1, 1, 1}, Bits: make([]byte, 3*8*8*8/8)}},
 		{"ResultBatch", &ResultBatch{Session: 21, Verdicts: []BatchVerdict{
 			{SampleID: 5, Exit: ExitLocal, Class: 1, Probs: []float32{0.1, 0.8, 0.1}},
 			{SampleID: 6, Exit: ExitCloud, Class: 0, Probs: []float32{0.9, 0.05, 0.05}},
@@ -101,7 +102,8 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 
 func TestSessionScopedMessagesImplementSessioned(t *testing.T) {
 	// Every message the gateway demultiplexes by session must carry the
-	// session tag; Hello and Heartbeat are connection-scoped.
+	// session tag; Heartbeat and the registration frames are
+	// connection-scoped.
 	sessioned := []Message{
 		&Error{Session: 7},
 		&CaptureBatch{Session: 7},
@@ -109,7 +111,6 @@ func TestSessionScopedMessagesImplementSessioned(t *testing.T) {
 		&FeatureBatchRequest{Session: 7},
 		&FeatureBatch{Session: 7},
 		&Escalation{Session: 7},
-		&EdgeFeatureBatch{Session: 7},
 		&ResultBatch{Session: 7},
 	}
 	for _, m := range sessioned {
@@ -122,7 +123,7 @@ func TestSessionScopedMessagesImplementSessioned(t *testing.T) {
 			t.Errorf("%v SessionID = %d, want 7", m.MsgType(), s.SessionID())
 		}
 	}
-	for _, m := range []Message{&Hello{}, &Heartbeat{}, &DeviceHello{}, &DeviceWelcome{}, &DeviceGoodbye{}} {
+	for _, m := range []Message{&Heartbeat{}, &DeviceHello{}, &DeviceWelcome{}, &DeviceGoodbye{}} {
 		if _, ok := m.(Sessioned); ok {
 			t.Errorf("%v must stay connection-scoped", m.MsgType())
 		}
@@ -165,17 +166,14 @@ func TestFeatureUploadBitsMatchEq1(t *testing.T) {
 }
 
 func TestFeatureUploadRejectsInconsistentBits(t *testing.T) {
-	for _, m := range []Message{
-		&FeatureBatch{F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 100)},
-		&EdgeFeatureBatch{F: 4, H: 16, W: 16, SampleIDs: []uint64{1}, Bits: make([]byte, 100)},
-	} {
-		var buf bytes.Buffer
-		if _, err := Encode(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Decode(&buf); err == nil {
-			t.Errorf("Decode accepted %v with inconsistent bit count", m.MsgType())
-		}
+	// An Escalation's bit count is its receiver's check (a typed 400 on a
+	// connection that stays usable); a FeatureBatch's is the decoder's.
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, &FeatureBatch{F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf); err == nil {
+		t.Error("Decode accepted a FeatureBatch with inconsistent bit count")
 	}
 }
 
@@ -246,7 +244,7 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 func TestStreamOfMessages(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		&Hello{NodeID: "d0", Role: RoleDevice},
+		&Heartbeat{NodeID: "d0"},
 		&CaptureBatch{SampleIDs: []uint64{1}},
 		&SummaryBatch{Classes: 3, Count: 1, Present: []byte{1}, Probs: []float32{0.9, 0.05, 0.05}},
 		&FeatureBatchRequest{SampleIDs: []uint64{1}},
@@ -275,8 +273,8 @@ func TestStreamOfMessages(t *testing.T) {
 
 func TestLocalSummaryRoundTripProperty(t *testing.T) {
 	// One sample's class summary rides a one-row SummaryBatch.
-	f := func(session uint64, dev uint16, p0, p1, p2 float32) bool {
-		in := &SummaryBatch{Session: session, Device: dev, Classes: 3, Count: 1,
+	f := func(session uint64, p0, p1, p2 float32) bool {
+		in := &SummaryBatch{Session: session, Classes: 3, Count: 1,
 			Present: []byte{1}, Probs: []float32{p0, p1, p2}}
 		var buf bytes.Buffer
 		if _, err := Encode(&buf, in); err != nil {
@@ -290,7 +288,7 @@ func TestLocalSummaryRoundTripProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
-		if got.Session != session || got.Device != dev || !got.Has(0) || len(got.Probs) != 3 {
+		if got.Session != session || !got.Has(0) || len(got.Probs) != 3 {
 			return false
 		}
 		for i, p := range []float32{p0, p1, p2} {
@@ -346,16 +344,11 @@ func TestCloudClassifyPresentCount(t *testing.T) {
 	}
 }
 
-func TestMsgTypeAndRoleStrings(t *testing.T) {
+func TestMsgTypeAndExitStrings(t *testing.T) {
 	for _, m := range seedMessages() {
 		mt := m.MsgType()
 		if mt.String() == "" || mt.String()[0] == 'M' {
 			t.Errorf("MsgType(%d) has no name", mt)
-		}
-	}
-	for _, r := range []Role{RoleDevice, RoleEdge, RoleCloud, RoleGateway} {
-		if r.String() == "" || r.String()[0] == 'R' {
-			t.Errorf("Role(%d) has no name", r)
 		}
 	}
 	for _, e := range []ExitPoint{ExitLocal, ExitEdge, ExitCloud} {
@@ -367,9 +360,10 @@ func TestMsgTypeAndRoleStrings(t *testing.T) {
 
 func TestRetiredMessageTypesAreUnknown(t *testing.T) {
 	// Version 4 retired the per-sample frames (2–5, 8–11) and the
-	// two-frame escalation headers (16, 17); their numbers are never
-	// reused, so a stray frame of a retired type is an unknown type.
-	for _, mt := range []MsgType{2, 3, 4, 5, 8, 9, 10, 11, 16, 17} {
+	// two-frame escalation headers (16, 17); version 6 retired Hello (1)
+	// and EdgeFeatureBatch (18). Their numbers are never reused, so a
+	// stray frame of a retired type is an unknown type.
+	for _, mt := range []MsgType{1, 2, 3, 4, 5, 8, 9, 10, 11, 16, 17, 18} {
 		if _, err := newMessage(mt); !errors.Is(err, ErrUnknownType) {
 			t.Errorf("retired type %d: err = %v, want ErrUnknownType", mt, err)
 		}
@@ -430,13 +424,14 @@ var sessionVarintEdges = []uint64{0, 127, 128, 1 << 63, math.MaxUint64}
 func sessionedAt(v uint64) []Message {
 	return []Message{
 		&CaptureBatch{Session: v, ModelVersion: v, SampleIDs: []uint64{1 << 63}},
-		&SummaryBatch{Session: v, Device: 1, Classes: 3, Count: 1,
+		&SummaryBatch{Session: v, Classes: 3, Count: 1,
 			Present: PackPresent([]bool{true}), Probs: []float32{0.1, 0.7, 0.2}},
 		&FeatureBatchRequest{Session: v, ModelVersion: v, SampleIDs: []uint64{99}},
-		&FeatureBatch{Session: v, Device: 2, F: 1, H: 4, W: 4, Count: 1, Bits: []byte{0xAB, 0xCD}},
+		&FeatureBatch{Session: v, F: 1, H: 4, W: 4, Count: 1, Bits: []byte{0xAB, 0xCD}},
 		&Escalation{Session: v, ModelVersion: v, Devices: 2, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{8}, Masks: []uint16{0b11}, Thresholds: []float64{0.5}, Bits: make([]byte, 4)},
-		&EdgeFeatureBatch{Session: v, ModelVersion: v, F: 1, H: 4, W: 4, SampleIDs: []uint64{21}, Bits: make([]byte, 2)},
+		&Escalation{Session: v, ModelVersion: v, Devices: 1, F: 1, H: 4, W: 4,
+			SampleIDs: []uint64{21}, Masks: []uint16{1}, Bits: make([]byte, 2)},
 		&ResultBatch{Session: v, Verdicts: []BatchVerdict{{SampleID: 5, Exit: ExitCloud, Class: 2, Probs: []float32{0.1, 0.9}}}},
 		&Error{Session: v, Code: 426, Msg: "unknown model version"},
 	}
@@ -463,7 +458,7 @@ func TestDecodeRejectsBadVarint(t *testing.T) {
 		payload := encodeFrame(t, m)[headerSize:]
 		cuts := []int{0, 5, 9}
 		switch m.(type) {
-		case *CaptureBatch, *FeatureBatchRequest, *Escalation, *EdgeFeatureBatch:
+		case *CaptureBatch, *FeatureBatchRequest, *Escalation:
 			cuts = append(cuts, 15, 19) // inside the ModelVersion varint
 		}
 		bad := map[string][]byte{"overflow": append(append([]byte(nil), overflow...), payload[10:]...)}
@@ -482,14 +477,16 @@ func TestDecodeRejectsBadVarint(t *testing.T) {
 }
 
 // TestOneSampleFrameBytes pins the framed size of a one-sample session's
-// device-link frames — the shape every idle-engine Classify takes — for
-// a model version below 128: 21 B capture, 29 B summary (3 classes),
-// 21 B feature request and 148 B feature upload (4 filters of 16×16
-// bits) while the session tag is below 2^14. Each frame carries one
-// session tag, so every later varint byte adds 1 B to each frame: a
-// gateway's session counter passes 2^14 after its first 16384 sessions
-// and 2^21 after about two million. Wire v4 spent 34/35/34/154 B at any
-// session; the Eq. 1 payload inside each frame is unchanged.
+// frames — the shape every idle-engine Classify takes — for a model
+// version below 128: on the device links 21 B capture, 27 B summary (3
+// classes), 21 B feature request and 146 B feature upload (4 filters of
+// 16×16 bits), and 97 B for the edge→cloud Escalation of one edge map (8
+// filters of 8×8 bits), while the session tag is below 2^14. Each frame
+// carries one session tag, so every later varint byte adds 1 B to each
+// frame: a gateway's session counter passes 2^14 after its first 16384
+// sessions and 2^21 after about two million. Wire v4 spent 34/35/34/154 B
+// on the device links at any session, and wire v5 29 B per summary and
+// 148 B per upload; the Eq. 1 payload inside each frame is unchanged.
 func TestOneSampleFrameBytes(t *testing.T) {
 	for _, st := range []struct {
 		sid   uint64
@@ -501,10 +498,12 @@ func TestOneSampleFrameBytes(t *testing.T) {
 			want int
 		}{
 			{&CaptureBatch{Session: sid, ModelVersion: 127, SampleIDs: []uint64{1 << 63}}, 21},
-			{&SummaryBatch{Session: sid, Device: 5, Classes: 3, Count: 1,
-				Present: PackPresent([]bool{true}), Probs: make([]float32, 3)}, 29},
+			{&SummaryBatch{Session: sid, Classes: 3, Count: 1,
+				Present: PackPresent([]bool{true}), Probs: make([]float32, 3)}, 27},
 			{&FeatureBatchRequest{Session: sid, ModelVersion: 127, SampleIDs: []uint64{1 << 63}}, 21},
-			{&FeatureBatch{Session: sid, Device: 5, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 128)}, 148},
+			{&FeatureBatch{Session: sid, F: 4, H: 16, W: 16, Count: 1, Bits: make([]byte, 128)}, 146},
+			{&Escalation{Session: sid, ModelVersion: 127, Devices: 1, F: 8, H: 8, W: 8,
+				SampleIDs: []uint64{1 << 63}, Masks: []uint16{1}, Bits: make([]byte, 64)}, 97},
 		} {
 			if got, want := EncodedSize(tc.msg), tc.want+st.extra; got != want {
 				t.Errorf("%v at session %d: %d B, want %d", tc.msg.MsgType(), sid, got, want)
