@@ -106,6 +106,8 @@ func main() {
 		"seed-varint-error": frame(&wire.Error{Session: math.MaxUint64, Code: 503, Msg: "cloud unreachable"}),
 		"seed-varint-escalation": frame(&wire.Escalation{Session: 1 << 14, ModelVersion: math.MaxUint64, Devices: 2, F: 1, H: 4, W: 4,
 			SampleIDs: []uint64{1<<63 + 1}, Masks: []uint16{0b11}, Bits: make([]byte, 2*2)}),
+		"seed-varint-edge-escalation": frame(&wire.Escalation{Session: 1 << 21, ModelVersion: 1 << 63, Devices: 1, F: 8, H: 8, W: 8,
+			SampleIDs: []uint64{1<<63 + 2}, Masks: []uint16{1}, Bits: make([]byte, 64)}),
 		"seed-varint-truncated": varintTruncated,
 		"seed-varint-overflow":  varintOverflow,
 		"seed-empty":            {},
